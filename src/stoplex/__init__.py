@@ -67,7 +67,6 @@ from .weighting import (
     apply_weights,
     inverse_document_frequency,
     probabilities,
-    word_weight,
 )
 
 __all__ = [
@@ -121,7 +120,6 @@ __all__ = [
     "sample_mean_for",
     "select_candidates",
     "tokenize",
-    "word_weight",
     "words_csv",
     "z_score",
 ]

@@ -12,10 +12,11 @@ separators, never tokens.
 from __future__ import annotations
 
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DecodeError, DomainError, EmptyCorpus
 
@@ -80,11 +81,12 @@ def _finish_token(run: list[str]) -> str:
 
 @dataclass(frozen=True)
 class Document:
-    """One tokenized source text."""
+    """One tokenized source text, kept as its token counts."""
 
     doc_index: int  # 1-based position within the corpus
     name: str
-    tokens: tuple[str, ...]
+    counts: tuple[tuple[str, int], ...]  # (token, count), first-appearance order
+    token_count: int
 
 
 @dataclass(frozen=True)
@@ -99,28 +101,26 @@ class Corpus:
 
     @property
     def token_total(self) -> int:
-        return sum(len(d.tokens) for d in self.documents)
+        return sum(d.token_count for d in self.documents)
 
 
-@dataclass(frozen=True)
-class WordEntry:
+class WordEntry(NamedTuple):
     """One unique word with its corpus statistics.
 
-    ``idf``, ``weight`` and ``probability`` are None until filled in by the
-    weighting step.
+    ``doc_counts`` holds the word's non-zero per-document counts in document
+    order, so ``doc_frequency == len(doc_counts)`` and
+    ``total_count == sum(doc_counts)``. ``idf``, ``weight`` and
+    ``probability`` are None until filled in by the weighting step.
     """
 
     surface: str
     first_index: int  # 1-based rank by first appearance
-    per_doc_counts: tuple[int, ...]
     doc_frequency: int
+    total_count: int
+    doc_counts: tuple[int, ...]
     idf: float | None = None
     weight: float | None = None
     probability: float | None = None
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.per_doc_counts)
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,7 @@ class Lexicon:
     """Unique words ordered by first appearance; entry k has first_index k+1."""
 
     entries: tuple[WordEntry, ...]
+    doc_count: int  # documents in the corpus the entries were counted in
 
     @property
     def size(self) -> int:
@@ -157,7 +158,9 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
                 blob = blob.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DecodeError(name, str(exc)) from exc
-        documents.append(Document(position, name, tuple(tokenize(blob))))
+        tokens = tokenize(blob)
+        counts = tuple(Counter(tokens).items())
+        documents.append(Document(position, name, counts, len(tokens)))
     if not documents:
         raise EmptyCorpus("a corpus needs at least one document")
     return Corpus(tuple(documents))
@@ -186,35 +189,32 @@ def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> li
 
 
 def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
-    """Read files as UTF-8 documents; the document name is the file stem."""
-    sources = []
-    for item in paths:
-        path = Path(item)
-        sources.append((path.stem, path.read_bytes()))
-    return load_corpus(sources)
+    """Read files as UTF-8 documents; the document name is the file stem.
+
+    Files are read one at a time as they are counted, so only one file's
+    text is held at once.
+    """
+    return load_corpus((Path(p).stem, Path(p).read_bytes()) for p in paths)
 
 
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """One entry per distinct token, indexed by order of first appearance.
 
-    Documents are scanned in doc_index order and tokens in sequence order,
-    so indices never depend on scheduling. idf, weight and probability stay
-    unset; the weighting step fills them.
+    Per-document counts are folded in doc_index order, and each document's
+    counts are in first-appearance order, so indices never depend on
+    scheduling. idf, weight and probability stay unset; the weighting step
+    fills them.
     """
-    n = corpus.doc_count
-    slots: dict[str, int] = {}
-    counts: list[list[int]] = []
-    for doc_pos, doc in enumerate(corpus.documents):
-        for token in doc.tokens:
-            slot = slots.get(token)
-            if slot is None:
-                slot = len(slots)
-                slots[token] = slot
-                counts.append([0] * n)
-            counts[slot][doc_pos] += 1
-    entries = []
-    for surface, slot in slots.items():
-        per_doc = tuple(counts[slot])
-        doc_frequency = sum(1 for c in per_doc if c)
-        entries.append(WordEntry(surface, slot + 1, per_doc, doc_frequency))
-    return Lexicon(tuple(entries))
+    postings: dict[str, list[int]] = {}
+    for doc in corpus.documents:
+        for token, count in doc.counts:
+            counts = postings.get(token)
+            if counts is None:
+                postings[token] = [count]
+            else:
+                counts.append(count)
+    entries = tuple(
+        WordEntry(surface, first_index, len(counts), sum(counts), tuple(counts))
+        for first_index, (surface, counts) in enumerate(postings.items(), start=1)
+    )
+    return Lexicon(entries, corpus.doc_count)

@@ -9,6 +9,7 @@ representation, so reports diff byte-stably and reload losslessly.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
@@ -53,10 +54,11 @@ class RunConfig:
         object.__setattr__(self, "inputs", tuple(str(p) for p in self.inputs))
         object.__setattr__(self, "averaging", AveragingMode(self.averaging))
         frac = _as_fraction(self.fraction)
-        if not 0 < frac < 1:
+        # the report echoes float(frac), so that value must lie in (0, 1) too
+        if not (0 < frac < 1 and 0.0 < float(frac) < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction!r}")
-        if not self.z_critical > 0:
-            raise ValueError(f"z_critical must be > 0, got {self.z_critical!r}")
+        if not (self.z_critical > 0 and math.isfinite(self.z_critical)):
+            raise ValueError(f"z_critical must be finite and > 0, got {self.z_critical!r}")
         if self.xbar_mode not in XBAR_MODES:
             raise ValueError(f"xbar_mode must be one of {XBAR_MODES}, got {self.xbar_mode!r}")
         if self.order not in ORDER_MODES:
@@ -155,12 +157,29 @@ def _require_finite(node, path="report") -> None:
 
 @contextmanager
 def _stage(name: str):
-    """Tag any StoplexError escaping the block with the stage name."""
+    """Tag any StoplexError or OSError escaping the block with the stage name."""
     try:
         yield
-    except StoplexError as exc:
+    except (StoplexError, OSError) as exc:
         exc.stage = name
         raise
+
+
+@contextmanager
+def _cycle_collection_paused():
+    """Pause the cyclic garbage collector; its previous state is restored on exit.
+
+    The lexicon stages allocate one acyclic record per word, several times
+    over. With collection on, the collector's repeated passes over that
+    growing heap took about half of those stages' time at N = 117 695.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def sample_mean_for(config: RunConfig, lexicon_size: int, stopwords: StopwordSet) -> float:
@@ -191,12 +210,15 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     with _stage("load_corpus"):
         files = collect_input_files(config.inputs, config.order)
         corpus = load_corpus_from_paths(files)
-    with _stage("build_lexicon"):
-        lexicon = build_lexicon(corpus)
-    with _stage("weights"):
-        lexicon = apply_weights(lexicon, config.averaging)
-    with _stage("probabilities"):
-        lexicon = probabilities(lexicon)
+    token_total = corpus.token_total
+    with _cycle_collection_paused():
+        with _stage("build_lexicon"):
+            lexicon = build_lexicon(corpus)
+        del corpus  # later stages read only the lexicon; freeing the counts lowers peak memory
+        with _stage("weights"):
+            lexicon = apply_weights(lexicon, config.averaging)
+        with _stage("probabilities"):
+            lexicon = probabilities(lexicon)
     with _stage("density"):
         dist = density(lexicon)
     with _stage("moment_summary"):
@@ -212,9 +234,9 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         verdict = location_verdict(summary.asymmetry)
 
     report = AnalysisReport(
-        doc_count=corpus.doc_count,
+        doc_count=lexicon.doc_count,
         unique_words=lexicon.size,
-        token_total=corpus.token_total,
+        token_total=token_total,
         moments=summary,
         stopwords=stopwords,
         coverage=coverage,

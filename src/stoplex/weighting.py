@@ -13,7 +13,6 @@ independent of any evaluation schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 
 from .corpus import Lexicon, WordEntry
@@ -40,40 +39,29 @@ def inverse_document_frequency(n_docs: int, doc_frequency: int) -> float:
     return math.log(n_docs / doc_frequency)
 
 
-def word_weight(
-    entry: WordEntry,
-    n_docs: int,
-    mode: AveragingMode | str = AveragingMode.ALL_DOCS,
-) -> float:
-    """Average tf*idf of one word across the corpus."""
-    mode = AveragingMode(mode)
-    if len(entry.per_doc_counts) != n_docs:
-        raise DomainError(
-            f"entry {entry.surface!r} has {len(entry.per_doc_counts)} counts, expected {n_docs}"
-        )
-    if entry.total_count < 1:
-        raise DomainError(f"entry {entry.surface!r} has no occurrences")
-    idf = inverse_document_frequency(n_docs, entry.doc_frequency)
-    total = math.fsum(count * idf for count in entry.per_doc_counts)
-    denominator = n_docs if mode is AveragingMode.ALL_DOCS else entry.doc_frequency
-    return total / denominator
-
-
 def apply_weights(
     lexicon: Lexicon, mode: AveragingMode | str = AveragingMode.ALL_DOCS
 ) -> Lexicon:
-    """Return a new lexicon with idf and weight filled on every entry."""
+    """Return a new lexicon with idf and weight filled on every entry.
+
+    A word's weight is fsum(count * idf) over its non-zero per-document
+    counts, divided by n (ALL_DOCS) or m (CONTAINING_DOCS). Documents
+    without the word would only add exact zeros to that sum.
+    """
     mode = AveragingMode(mode)
-    if lexicon.size == 0:
-        return lexicon
-    n_docs = len(lexicon.entries[0].per_doc_counts)
+    n_docs = lexicon.doc_count
+    all_docs = mode is AveragingMode.ALL_DOCS
+    idf_by_df: dict[int, float] = {}
     weighted = []
-    for entry in lexicon.entries:
-        idf = inverse_document_frequency(n_docs, entry.doc_frequency)
+    for surface, first_index, df, total_count, doc_counts, _, _, _ in lexicon.entries:
+        idf = idf_by_df.get(df)
+        if idf is None:
+            idf = idf_by_df[df] = inverse_document_frequency(n_docs, df)
+        weight = math.fsum([count * idf for count in doc_counts]) / (n_docs if all_docs else df)
         weighted.append(
-            replace(entry, idf=idf, weight=word_weight(entry, n_docs, mode))
+            WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight)
         )
-    return Lexicon(tuple(weighted))
+    return Lexicon(tuple(weighted), n_docs)
 
 
 def probabilities(lexicon: Lexicon) -> Lexicon:
@@ -84,13 +72,15 @@ def probabilities(lexicon: Lexicon) -> Lexicon:
     carries no tf-idf signal and cannot be analyzed by this method.
     """
     weights = [entry.weight for entry in lexicon.entries]
-    if any(w is None for w in weights):
+    if None in weights:
         raise DomainError("weights are unset; call apply_weights first")
     total = math.fsum(weights)
     if total <= 0.0:
         raise AllZeroWeights(
             "all weights are zero (every word occurs in every document)"
         )
-    return Lexicon(
-        tuple(replace(e, probability=e.weight / total) for e in lexicon.entries)
+    entries = tuple(
+        WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight, weight / total)
+        for surface, first_index, df, total_count, doc_counts, idf, weight, _ in lexicon.entries
     )
+    return Lexicon(entries, lexicon.doc_count)

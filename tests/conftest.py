@@ -37,14 +37,15 @@ def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
             WordEntry(
                 surface=surface,
                 first_index=pos + 1,
-                per_doc_counts=(total,),
                 doc_frequency=1,
+                total_count=total,
+                doc_counts=(total,),
                 idf=1.0,
                 weight=p,
                 probability=p,
             )
         )
-    return Lexicon(tuple(entries))
+    return Lexicon(tuple(entries), doc_count=2)
 
 
 # ---------------------------------------------------------------------------

@@ -37,16 +37,26 @@ def test_bad_utf8_names_source():
 
 def test_bytes_sources_decode():
     corpus = load_corpus([("d", "olma nok".encode("utf-8"))])
-    assert corpus.documents[0].tokens == ("olma", "nok")
+    doc = corpus.documents[0]
+    assert doc.counts == (("olma", 1), ("nok", 1))
+    assert doc.token_count == 2
+
+
+def test_document_counts_keep_first_appearance_order():
+    doc = load_corpus([("d", "nok olma nok uzum olma nok")]).documents[0]
+    assert doc.counts == (("nok", 3), ("olma", 2), ("uzum", 1))
+    assert doc.token_count == 6
 
 
 def test_toy_lexicon_entries(toy_lexicon):
     entries = {e.surface: e for e in toy_lexicon}
     assert [e.surface for e in toy_lexicon] == ["olma", "nok", "uzum"]
     assert (entries["olma"].first_index, entries["nok"].first_index, entries["uzum"].first_index) == (1, 2, 3)
-    assert entries["olma"].per_doc_counts == (2, 0, 1)
-    assert entries["nok"].per_doc_counts == (1, 1, 0)
-    assert entries["uzum"].per_doc_counts == (0, 1, 2)
+    assert entries["olma"].doc_counts == (2, 1)  # d1, d3
+    assert entries["nok"].doc_counts == (1, 1)  # d1, d2
+    assert entries["uzum"].doc_counts == (1, 2)  # d2, d3
+    assert [e.total_count for e in toy_lexicon] == [3, 2, 3]
+    assert toy_lexicon.doc_count == 3
     assert all(e.doc_frequency == 2 for e in toy_lexicon)
     assert all(e.idf is None and e.weight is None and e.probability is None for e in toy_lexicon)
 
@@ -74,7 +84,9 @@ def test_lexicon_invariants(toy_corpus, toy_lexicon):
     n = toy_corpus.doc_count
     for e in toy_lexicon:
         assert 1 <= e.doc_frequency <= n
-        assert e.doc_frequency == sum(1 for c in e.per_doc_counts if c > 0)
+        assert e.doc_frequency == len(e.doc_counts)
+        assert e.total_count == sum(e.doc_counts)
+        assert all(c > 0 for c in e.doc_counts)
 
 
 def test_determinism(toy_corpus):

@@ -94,7 +94,9 @@ def test_lexicon_counts_invariants(sources):
     assert sorted(e.first_index for e in lexicon) == list(range(1, lexicon.size + 1))
     for e in lexicon:
         assert 1 <= e.doc_frequency <= corpus.doc_count
-        assert e.doc_frequency == sum(1 for c in e.per_doc_counts if c > 0)
+        assert e.doc_frequency == len(e.doc_counts)
+        assert e.total_count == sum(e.doc_counts)
+        assert all(c > 0 for c in e.doc_counts)
     assert build_lexicon(corpus) == build_lexicon(corpus)
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -97,13 +98,18 @@ def test_pipeline_all_zero_weights(tmp_path):
     with pytest.raises(AllZeroWeights) as excinfo:
         run_pipeline(toy_config(tmp_path / "out", inputs=(str(tmp_path),), fraction="0.5"))
     assert excinfo.value.stage == "probabilities"
+    assert gc.isenabled()  # the lexicon stages' collection pause ends on failure too
 
 
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         toy_config(tmp_path, fraction="1.5")
     with pytest.raises(ValueError):
+        toy_config(tmp_path, fraction="1e-400")  # exact value > 0, float value 0.0
+    with pytest.raises(ValueError):
         toy_config(tmp_path, z_critical=0.0)
+    with pytest.raises(ValueError):
+        toy_config(tmp_path, z_critical=float("inf"))
     with pytest.raises(ValueError):
         toy_config(tmp_path, xbar_mode="median")
     with pytest.raises(ValueError):
@@ -150,6 +156,15 @@ def test_cli_empty_dir_exit_2(tmp_path, capsys):
 def test_cli_missing_input_exit_2(tmp_path, capsys):
     code = main(["analyze", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert code == 2
+    assert capsys.readouterr().err.startswith("stoplex: [load_corpus] ")
+
+
+@pytest.mark.parametrize("option", [("--zcrit", "inf"), ("--fraction", "1e-400")])
+def test_cli_bad_option_value_exit_2_before_any_output(tmp_path, option):
+    out_dir = tmp_path / "o1"
+    code = main(["analyze", str(TOY_DIR), *option, "--out", str(out_dir)])
+    assert code == 2
+    assert not out_dir.exists()
 
 
 def test_cli_degenerate_exit_3(tmp_path, capsys):

@@ -6,12 +6,12 @@ from stoplex import (
     AllZeroWeights,
     AveragingMode,
     DomainError,
+    Lexicon,
     apply_weights,
     build_lexicon,
     inverse_document_frequency,
     load_corpus,
     probabilities,
-    word_weight,
 )
 
 LN_3_OVER_2 = math.log(3 / 2)
@@ -50,10 +50,11 @@ def test_weight_zero_iff_in_every_document():
     assert by_surface["b"].weight > 0.0
 
 
-def test_word_weight_checks_count_length(toy_lexicon):
-    entry = toy_lexicon.entries[0]
+def test_apply_weights_rejects_doc_frequency_above_doc_count(toy_lexicon):
+    # every toy word occurs in 2 documents, which a 1-document lexicon cannot hold
+    lexicon = Lexicon(toy_lexicon.entries, doc_count=1)
     with pytest.raises(DomainError):
-        word_weight(entry, 5)
+        apply_weights(lexicon)
 
 
 def test_containing_docs_mode(toy_lexicon):
