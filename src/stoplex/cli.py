@@ -19,7 +19,8 @@ from .errors import (
     EmptyCorpus,
     StoplexError,
 )
-from .report import AnalysisReport, RunConfig, format_percent, run_pipeline
+from .report import ORDER_MODES, XBAR_MODES, AnalysisReport, RunConfig, format_percent, run_pipeline
+from .weighting import AveragingMode
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,18 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("inputs", nargs="+", help="text files and/or directories of text files")
     analyze.add_argument("--fraction", default="0.05", help="selection fraction in (0,1), default 0.05")
     analyze.add_argument(
-        "--averaging", choices=("all", "containing"), default="all",
+        "--averaging", choices=[m.value for m in AveragingMode], default="all",
         help="average tf-idf over all documents or only containing ones",
     )
     analyze.add_argument(
-        "--xbar", choices=("midpoint", "candidates"), default="midpoint",
+        "--xbar", choices=XBAR_MODES, default="midpoint",
         help="sample mean for the Z test: index-range midpoint or candidate mean",
     )
     analyze.add_argument("--zcrit", type=float, default=1.96, help="critical Z value, default 1.96")
     analyze.add_argument("--out", default=".", help="output directory, default current")
     analyze.add_argument("--plots", action="store_true", help="also write density.svg and sorted.svg")
     analyze.add_argument(
-        "--order", choices=("list", "lexicographic"), default="list",
+        "--order", choices=ORDER_MODES, default="list",
         help="document order: as given, or re-sorted by file name",
     )
     analyze.set_defaults(func=_cmd_analyze)

@@ -6,11 +6,13 @@ apostrophe is rewritten to U+02BB so the variants found in real texts
 (U+0027, U+2019, U+02BC, U+0060) collapse to one code point and do not
 create spurious unique words. Text is NFC-normalized before scanning and
 tokens are lowercased afterwards. Digits, punctuation and symbols are
-separators, never tokens.
+separators, never tokens; so are numerics that are not letters, such as
+½, Ⅻ and ², even where a word pattern matches them together with letters.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -23,14 +25,15 @@ from .errors import DecodeError, DomainError, EmptyCorpus
 #: Canonical word-internal apostrophe (MODIFIER LETTER TURNED COMMA).
 CANONICAL_APOSTROPHE = "ʻ"
 
-# U+02BB and U+02BC are Unicode letters (category Lm), so they must be
-# claimed by this class before the letter test sees them; otherwise a
-# doubled apostrophe could hide inside a letter run.
-_APOSTROPHES = frozenset("'’ʼ`ʻ")
-
-
-def _is_letter(ch: str) -> bool:
-    return ch not in _APOSTROPHES and unicodedata.category(ch).startswith("L")
+# [^\W\d_] is every letter plus the numerics that are not decimal digits
+# (categories No and Nl, such as ½); tokenize splits those back out with
+# str.isalpha, which holds for exactly the letter categories L*. U+02BB and
+# U+02BC are letters (Lm), so the class leaves them out: a doubled
+# apostrophe must not hide inside a letter run.
+_APOSTROPHES = "'’ʼ`ʻ"
+_LETTERS = r"[^\W\d_ʻʼ]+"
+_WORD = re.compile(rf"{_LETTERS}(?:[{_APOSTROPHES}]{_LETTERS})*")
+_TO_CANONICAL = str.maketrans(dict.fromkeys(_APOSTROPHES, CANONICAL_APOSTROPHE))
 
 
 def tokenize(text: str) -> list[str]:
@@ -42,41 +45,24 @@ def tokenize(text: str) -> list[str]:
     - A single apostrophe flanked by letters stays inside the token and is
       rewritten to U+02BB; leading, trailing or doubled apostrophes never
       attach.
+    - Numerics that are not letters (½, Ⅻ, ²) separate like digits, and an
+      apostrophe next to one does not attach.
     - Tokens are lowercased (and re-normalized, since lowercasing can
       denormalize in rare cases).
 
     Any input yields a (possibly empty) token list.
     """
-    text = unicodedata.normalize("NFC", text)
     tokens: list[str] = []
-    run: list[str] = []
-    last_was_letter = False
-    length = len(text)
-    for pos, ch in enumerate(text):
-        if _is_letter(ch):
-            run.append(ch)
-            last_was_letter = True
+    for match in _WORD.finditer(unicodedata.normalize("NFC", text)):
+        word = match[0].translate(_TO_CANONICAL)
+        if word.isalpha():
+            tokens.append(unicodedata.normalize("NFC", word.lower()))
             continue
-        if (
-            ch in _APOSTROPHES
-            and last_was_letter
-            and pos + 1 < length
-            and _is_letter(text[pos + 1])
-        ):
-            run.append(CANONICAL_APOSTROPHE)
-            last_was_letter = False
-            continue
-        if run:
-            tokens.append(_finish_token(run))
-            run.clear()
-        last_was_letter = False
-    if run:
-        tokens.append(_finish_token(run))
+        for part in "".join(ch if ch.isalpha() else " " for ch in word).split():
+            part = part.strip(CANONICAL_APOSTROPHE)
+            if part:
+                tokens.append(unicodedata.normalize("NFC", part.lower()))
     return tokens
-
-
-def _finish_token(run: list[str]) -> str:
-    return unicodedata.normalize("NFC", "".join(run).lower())
 
 
 @dataclass(frozen=True)

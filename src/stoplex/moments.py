@@ -79,7 +79,7 @@ def raw_moment(dist: IndexDistribution, k: int) -> float:
     """k-th raw moment, sum of p_i * i**k, for k in 1..3."""
     if k not in (1, 2, 3):
         raise DomainError(f"raw moment order must be 1, 2 or 3, got {k}")
-    return math.fsum(p * i**k for i, p in dist.points)
+    return math.fsum(p * i**k for i, p in enumerate(dist.probabilities, start=1))
 
 
 def moment_summary(dist: IndexDistribution) -> MomentSummary:
@@ -91,7 +91,7 @@ def moment_summary(dist: IndexDistribution) -> MomentSummary:
     e1 = raw_moment(dist, 1)
     e2 = raw_moment(dist, 2)
     e3 = raw_moment(dist, 3)
-    dispersion = math.fsum(p * (i - e1) ** 2 for i, p in dist.points)
+    dispersion = math.fsum(p * (i - e1) ** 2 for i, p in enumerate(dist.probabilities, start=1))
     if dispersion == 0.0:
         raise DegenerateDistribution("zero dispersion: asymmetry undefined")
     sigma = math.sqrt(dispersion)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -63,11 +64,9 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     for entry in lexicon.entries:
         if entry.probability is None:
             raise DomainError(f"entry {entry.surface!r} has no probability")
-    ranked = sorted(
-        lexicon.entries,
-        key=lambda e: (e.probability, e.total_count, e.surface),
+    chosen = tuple(
+        heapq.nsmallest(k, lexicon.entries, key=lambda e: (e.probability, e.total_count, e.surface))
     )
-    chosen = tuple(ranked[:k])
     return StopwordSet(
         fraction=float(_as_fraction(fraction)),
         threshold=chosen[-1].probability,

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stoplex import (
     DomainError,
@@ -101,3 +102,22 @@ def test_export_list_line_count():
     text = export_list(selected)
     assert text.count("\n") == 642
     assert text.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.2, 0.5]), st.integers(1, 3)), min_size=1, max_size=80),
+    st.sampled_from(["0.01", "0.05", "0.3", "0.5", "0.99"]),
+    st.data(),
+)
+def test_selection_equals_full_sort_under_ties(rows, fraction, data):
+    # few distinct probabilities and counts, so most keys tie until the surface
+    order = data.draw(st.permutations(range(len(rows))))
+    lexicon = make_lexicon(
+        [p for p, _ in rows], counts=[c for _, c in rows], surfaces=[f"w{i:03d}" for i in order]
+    )
+    ranked = sorted(lexicon.entries, key=lambda e: (e.probability, e.total_count, e.surface))
+    k = candidate_count(lexicon.size, fraction)
+    chosen = select_candidates(lexicon, fraction)
+    assert chosen.candidates == tuple(ranked[:k])
+    assert chosen.threshold == ranked[k - 1].probability

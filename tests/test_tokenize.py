@@ -1,7 +1,11 @@
+import re
+import sys
 import unicodedata
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import scanner_oracle
 from stoplex import CANONICAL_APOSTROPHE, tokenize
 
 APOSTROPHE_VARIANTS = ["'", "’", "ʼ", "`"]
@@ -54,6 +58,12 @@ def test_doubled_apostrophe_splits():
     assert tokenize("a’ʼb") == ["a", "b"]
 
 
+def test_numerics_that_are_not_letters_separate():
+    assert tokenize("ab½cd") == ["ab", "cd"]
+    assert tokenize("a'½b") == ["a", "b"]
+    assert tokenize("Ⅻasr o’²g") == ["asr", "o", "g"]
+
+
 def test_lowercasing():
     assert tokenize("OLMA Nok uZum") == ["olma", "nok", "uzum"]
 
@@ -77,3 +87,45 @@ def test_tokens_are_clean():
         assert not any(unicodedata.category(ch).startswith("P") for ch in token)
         assert token[0] != CANONICAL_APOSTROPHE
         assert token[-1] != CANONICAL_APOSTROPHE
+
+
+# --- the word pattern against the per-character scanner it replaced ---------
+
+# Text drawn mostly from pieces the rules treat specially, plus any character.
+PIECES = (
+    ["'", "’", "ʼ", "`", "ʻ", "''", "’ʼ", "ʻʻ", "`'"]  # apostrophes, single and doubled
+    + ["\u0301", "\u0308", "\u0307", "e\u0301", "İ", "ß", "ǅ", "ǈ", "ſ"]  # marks, case oddities
+    + ["7", "٣", "_", "½", "Ⅻ", "²", "\u2160", "৴"]  # digits, underscore, non-letter numerics
+    + ["a", "o", "g", "sh", "Ol", "ʻa", "a ", " ", "-", ".", "\n"]
+)
+texts = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=40).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts)
+@example("a'½'b")
+@example("½'a'½")
+@example("'a''b'")
+@example("İʼ²ʻß")
+def test_tokenize_matches_reference_scanner(text):
+    assert tokenize(text) == scanner_oracle.tokenize(text)
+
+
+def test_tokenize_matches_reference_scanner_around_every_non_letter_numeric():
+    # the numerics [^\W\d_] matches although they are not letters (No, Nl)
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    numerics = [ch for ch in re.findall(r"[^\W\d_]", every_char) if not ch.isalpha()]
+    assert len(numerics) > 1000
+    for ch in numerics:
+        for text in (f"a{ch}b", f"a'{ch}'b", f"{ch}a{ch}", f"aʼ{ch}ʻb"):
+            assert tokenize(text) == scanner_oracle.tokenize(text), (hex(ord(ch)), text)
+
+
+def test_isalpha_is_exactly_the_letter_categories():
+    # tokenize relies on str.isalpha to split numerics out of a match
+    mismatches = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalpha() != unicodedata.category(chr(cp)).startswith("L")
+    ]
+    assert mismatches == []
