@@ -12,7 +12,6 @@ from ._version import __version__
 from .corpus import (
     CANONICAL_APOSTROPHE,
     Corpus,
-    Document,
     Lexicon,
     WordEntry,
     build_lexicon,
@@ -81,7 +80,6 @@ __all__ = [
     "DecodeError",
     "Decision",
     "DegenerateDistribution",
-    "Document",
     "DomainError",
     "EmptyCorpus",
     "IndexDistribution",

@@ -66,28 +66,16 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class Document:
-    """One tokenized source text, kept as its token counts."""
-
-    doc_index: int  # 1-based position within the corpus
-    name: str
-    counts: tuple[tuple[str, int], ...]  # (token, count), first-appearance order
-    token_count: int
-
-
-@dataclass(frozen=True)
 class Corpus:
-    """An ordered collection of documents."""
+    """Per-word counts of an ordered collection of documents.
 
-    documents: tuple[Document, ...]
+    ``postings`` maps each distinct token, in order of first appearance, to
+    its non-zero per-document counts in document order.
+    """
 
-    @property
-    def doc_count(self) -> int:
-        return len(self.documents)
-
-    @property
-    def token_total(self) -> int:
-        return sum(d.token_count for d in self.documents)
+    postings: dict[str, list[int]]
+    doc_count: int
+    token_total: int
 
 
 class WordEntry(NamedTuple):
@@ -134,22 +122,31 @@ class Lexicon:
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     """Build a corpus from ordered (name, text) pairs.
 
-    Bytes decode as UTF-8; a bad source raises DecodeError naming it.
+    Each document is counted as it is tokenized and its counts are folded
+    into the postings at once, so the corpus keeps one string per distinct
+    token. Bytes decode as UTF-8; a bad source raises DecodeError naming it.
     Zero sources raise EmptyCorpus.
     """
-    documents: list[Document] = []
-    for position, (name, blob) in enumerate(sources, start=1):
+    postings: dict[str, list[int]] = {}
+    doc_count = token_total = 0
+    for name, blob in sources:
         if isinstance(blob, bytes):
             try:
                 blob = blob.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DecodeError(name, str(exc)) from exc
         tokens = tokenize(blob)
-        counts = tuple(Counter(tokens).items())
-        documents.append(Document(position, name, counts, len(tokens)))
-    if not documents:
+        for token, count in Counter(tokens).items():
+            counts = postings.get(token)
+            if counts is None:
+                postings[token] = [count]
+            else:
+                counts.append(count)
+        doc_count += 1
+        token_total += len(tokens)
+    if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
-    return Corpus(tuple(documents))
+    return Corpus(postings, doc_count, token_total)
 
 
 def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> list[Path]:
@@ -186,21 +183,14 @@ def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """One entry per distinct token, indexed by order of first appearance.
 
-    Per-document counts are folded in doc_index order, and each document's
-    counts are in first-appearance order, so indices never depend on
-    scheduling. idf, weight and probability stay unset; the weighting step
-    fills them.
+    The postings are already in first-appearance order with counts in
+    document order, so indices never depend on scheduling. idf, weight and
+    probability stay unset; the weighting step fills them.
     """
-    postings: dict[str, list[int]] = {}
-    for doc in corpus.documents:
-        for token, count in doc.counts:
-            counts = postings.get(token)
-            if counts is None:
-                postings[token] = [count]
-            else:
-                counts.append(count)
-    entries = tuple(
-        WordEntry(surface, first_index, len(counts), sum(counts), tuple(counts))
-        for first_index, (surface, counts) in enumerate(postings.items(), start=1)
+    return Lexicon(
+        tuple(
+            WordEntry(surface, first_index, len(c), sum(c), tuple(c))
+            for first_index, (surface, c) in enumerate(corpus.postings.items(), start=1)
+        ),
+        corpus.doc_count,
     )
-    return Lexicon(entries, corpus.doc_count)

@@ -7,6 +7,9 @@ the same data are byte-identical.
 
 from __future__ import annotations
 
+from itertools import islice
+from typing import Iterable
+
 from .corpus import Lexicon
 from .moments import IndexDistribution, MomentSummary
 from .selection import StopwordSet
@@ -85,6 +88,29 @@ def _tick(v: float) -> str:
     return f"{v:.3g}"
 
 
+def _circles(
+    frame: _Frame, points: Iterable[tuple[float, float]], cls: str, radius: int, fill: str
+) -> list[str]:
+    """One circle per pixel for a class's (x, y) data points, in the given order.
+
+    A point whose centre rounds to a pixel this class has already drawn is
+    skipped: the canvas cannot show it. Drawn points keep their exact
+    coordinates.
+    """
+    drawn: set[tuple[int, int]] = set()
+    parts = []
+    for x, y in points:
+        cx, cy = frame.x(x), frame.y(y)
+        pixel = (round(cx), round(cy))
+        if pixel not in drawn:
+            drawn.add(pixel)
+            parts.append(
+                f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'r="{radius}" fill="{fill}"/>'
+            )
+    return parts
+
+
 def emit_density_plot(
     dist: IndexDistribution,
     candidates: StopwordSet,
@@ -102,20 +128,12 @@ def emit_density_plot(
 
     parts = [_header("probability of unique words by first-appearance index")]
     parts.extend(_axes(frame, "first-appearance index", "probability"))
-    for i, p in dist.points:
-        if i in candidate_indices:
-            continue
-        parts.append(
-            f'<circle class="word" cx="{_fmt(frame.x(i))}" cy="{_fmt(frame.y(p))}" '
-            f'r="2" fill="{_POINT_COLOR}"/>'
-        )
-    for entry in candidates.candidates:
-        i = entry.first_index
-        p = dist.probabilities[i - 1] if i <= n else 0.0
-        parts.append(
-            f'<circle class="stopword" cx="{_fmt(frame.x(i))}" cy="{_fmt(frame.y(p))}" '
-            f'r="3" fill="{_CANDIDATE_COLOR}"/>'
-        )
+    words = ((i, p) for i, p in dist.points if i not in candidate_indices)
+    stopwords = (
+        (e.first_index, dist.probabilities[e.first_index - 1]) for e in candidates.candidates
+    )
+    parts.extend(_circles(frame, words, "word", 2, _POINT_COLOR))
+    parts.extend(_circles(frame, stopwords, "stopword", 3, _CANDIDATE_COLOR))
     e, s = summary.expectation, summary.std_dev
     for value, label in ((e - s, "E-σ"), (e, "E"), (e + s, "E+σ")):
         px = _fmt(frame.x(frame.clamp_x(value)))
@@ -145,13 +163,9 @@ def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
 
     parts = [_header("unique words sorted by probability")]
     parts.extend(_axes(frame, "rank (descending probability)", "probability"))
-    for rank, p in enumerate(probs, start=1):
-        color = _CANDIDATE_COLOR if rank > n - k else _POINT_COLOR
-        cls = "stopword" if rank > n - k else "word"
-        parts.append(
-            f'<circle class="{cls}" cx="{_fmt(frame.x(rank))}" cy="{_fmt(frame.y(p))}" '
-            f'r="2" fill="{color}"/>'
-        )
+    ranked = enumerate(probs, start=1)  # ranks up to N - k are kept words, the rest candidates
+    parts.extend(_circles(frame, islice(ranked, max(n - k, 0)), "word", 2, _POINT_COLOR))
+    parts.extend(_circles(frame, ranked, "stopword", 2, _CANDIDATE_COLOR))
     cutoff_x = _fmt(frame.x(frame.clamp_x(n - k + 0.5)))
     parts.append(
         f'<line class="cutoff" x1="{cutoff_x}" y1="{frame.py_hi}" x2="{cutoff_x}" '

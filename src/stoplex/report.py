@@ -13,9 +13,11 @@ import gc
 import io
 import json
 import math
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from ._version import __version__
 from .corpus import Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
@@ -169,9 +171,10 @@ def _stage(name: str):
 def _cycle_collection_paused():
     """Pause the cyclic garbage collector; its previous state is restored on exit.
 
-    The lexicon stages allocate one acyclic record per word, several times
-    over. With collection on, the collector's repeated passes over that
-    growing heap took about half of those stages' time at N = 117 695.
+    Loading allocates one acyclic postings list per word and the lexicon
+    stages one acyclic record per word, several times over. With collection
+    on, the collector's repeated passes over that growing heap took about
+    half of the lexicon stages' time at N = 117 695.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -204,17 +207,20 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     """Execute the full analysis and write the output files.
 
     Stages run in a fixed order; any stage error carries the stage name in
-    its ``stage`` attribute. Files are written only after every stage has
-    completed.
+    its ``stage`` attribute. Output is all or nothing: each file is written
+    to a temporary file in the output directory as it is rendered, and only
+    when every one is written do they replace the final names. A failed run
+    leaves earlier outputs as they were and no temporary files, and removes
+    the directories it created.
     """
-    with _stage("load_corpus"):
-        files = collect_input_files(config.inputs, config.order)
-        corpus = load_corpus_from_paths(files)
-    token_total = corpus.token_total
     with _cycle_collection_paused():
+        with _stage("load_corpus"):
+            files = collect_input_files(config.inputs, config.order)
+            corpus = load_corpus_from_paths(files)
+        token_total = corpus.token_total
         with _stage("build_lexicon"):
             lexicon = build_lexicon(corpus)
-        del corpus  # later stages read only the lexicon; freeing the counts lowers peak memory
+        del corpus  # later stages read only the lexicon; freeing the postings lowers peak memory
         with _stage("weights"):
             lexicon = apply_weights(lexicon, config.averaging)
         with _stage("probabilities"):
@@ -245,20 +251,47 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         config=config,
     )
 
+    outputs = [
+        ("stopwords.txt", lambda: export_list(stopwords)),
+        ("report.json", report.to_json),
+        ("words.csv", lambda: words_csv(lexicon)),
+    ]
+    if config.plots:
+        outputs += [
+            ("density.svg", lambda: emit_density_plot(dist, stopwords, summary)),
+            ("sorted.svg", lambda: emit_sorted_plot(lexicon, stopwords)),
+        ]
     with _stage("write_outputs"):
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "stopwords.txt").write_text(export_list(stopwords), encoding="utf-8")
-        (out_dir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (out_dir / "words.csv").write_text(words_csv(lexicon), encoding="utf-8")
-        if config.plots:
-            (out_dir / "density.svg").write_text(
-                emit_density_plot(dist, stopwords, summary), encoding="utf-8"
-            )
-            (out_dir / "sorted.svg").write_text(
-                emit_sorted_plot(lexicon, stopwords), encoding="utf-8"
-            )
+        _write_all(Path(config.output_dir), outputs)
     return report
+
+
+def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], str]]]) -> None:
+    """Render and write every (file name, renderer) output, or none of them.
+
+    Each output goes to a temporary file in ``out_dir`` as soon as it is
+    rendered, so one rendered output is held at a time. The temporary files
+    replace the final names only after all of them are written. On failure
+    they are deleted, and so are the directories this call created.
+    """
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[tuple[Path, Path]] = []
+    try:
+        for name, render in outputs:
+            temp = out_dir / f".{name}.{os.getpid()}.tmp"
+            written.append((temp, out_dir / name))
+            with open(temp, "w", encoding="utf-8") as handle:
+                handle.write(render())
+        for temp, final in written:
+            os.replace(temp, final)
+    except BaseException:
+        for temp, _ in written:
+            temp.unlink(missing_ok=True)
+        with suppress(OSError):  # not empty if a replace failed midway
+            for directory in made:
+                directory.rmdir()
+        raise
 
 
 def format_percent(fraction: float) -> str:

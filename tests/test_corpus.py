@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from stoplex import (
@@ -14,8 +16,10 @@ from stoplex import (
 def test_toy_corpus_shape(toy_corpus):
     assert toy_corpus.doc_count == 3
     assert toy_corpus.token_total == 8
-    assert [d.doc_index for d in toy_corpus.documents] == [1, 2, 3]
-    assert [d.name for d in toy_corpus.documents] == ["d1", "d2", "d3"]
+    # first appearance across documents: olma, nok (d1), then uzum (d2)
+    assert list(toy_corpus.postings) == ["olma", "nok", "uzum"]
+    # non-zero per-document counts in document order
+    assert toy_corpus.postings == {"olma": [2, 1], "nok": [1, 1], "uzum": [1, 2]}
 
 
 def test_single_document():
@@ -36,16 +40,42 @@ def test_bad_utf8_names_source():
 
 
 def test_bytes_sources_decode():
-    corpus = load_corpus([("d", "olma nok".encode("utf-8"))])
-    doc = corpus.documents[0]
-    assert doc.counts == (("olma", 1), ("nok", 1))
-    assert doc.token_count == 2
+    corpus = load_corpus([("d1", "olma nok".encode("utf-8")), ("d2", "nok soʻz".encode("utf-8"))])
+    assert corpus.postings == {"olma": [1], "nok": [1, 1], "soʻz": [1]}
+    assert (corpus.doc_count, corpus.token_total) == (2, 4)
 
 
-def test_document_counts_keep_first_appearance_order():
-    doc = load_corpus([("d", "nok olma nok uzum olma nok")]).documents[0]
-    assert doc.counts == (("nok", 3), ("olma", 2), ("uzum", 1))
-    assert doc.token_count == 6
+def test_postings_keep_first_appearance_order_and_document_order():
+    corpus = load_corpus([
+        ("d1", "nok olma nok uzum olma nok"),
+        ("d2", ""),
+        ("d3", "anor olma anor"),
+        ("d4", "nok anor"),
+    ])
+    assert list(corpus.postings.items()) == [
+        ("nok", [3, 1]),  # d1, d4
+        ("olma", [2, 1]),  # d1, d3
+        ("uzum", [1]),
+        ("anor", [2, 1]),  # d3, d4
+    ]
+    assert (corpus.doc_count, corpus.token_total) == (4, 11)
+
+
+def test_postings_memory_is_below_two_words_per_pair():
+    # 1000 documents that share the same 300 words: 300 000 (word, document) pairs
+    words = [a + b + c for a in "bdfgklmnst" for b in "aeiou" for c in "lmnrsz"]
+    assert len(words) == 300
+    n_docs = 1000
+    texts = [(f"d{d}", " ".join(words[d % 300:] + words[: d % 300])) for d in range(n_docs)]
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = 300 * n_docs
+    assert retained < 2 * 8 * pairs
+    assert (corpus.doc_count, corpus.token_total) == (n_docs, pairs)
 
 
 def test_toy_lexicon_entries(toy_lexicon):
@@ -97,11 +127,22 @@ def test_lexicon_surface_lookup(toy_lexicon):
     assert toy_lexicon.entry("nok").first_index == 2
 
 
-def test_load_from_paths_uses_stems(tmp_path):
+def test_load_from_paths_reads_files_in_the_given_order(tmp_path):
     (tmp_path / "b.txt").write_text("nok uzum", encoding="utf-8")
-    (tmp_path / "a.txt").write_text("olma", encoding="utf-8")
-    corpus = load_corpus_from_paths(collect_input_files([tmp_path]))
-    assert [d.name for d in corpus.documents] == ["a", "b"]  # lexicographic in a dir
+    (tmp_path / "a.txt").write_text("olma nok", encoding="utf-8")
+    corpus = load_corpus_from_paths(collect_input_files([tmp_path]))  # lexicographic in a dir
+    assert [e.surface for e in build_lexicon(corpus)] == ["olma", "nok", "uzum"]
+    assert corpus.postings["nok"] == [1, 1]
+    reversed_corpus = load_corpus_from_paths([tmp_path / "b.txt", tmp_path / "a.txt"])
+    assert [e.surface for e in build_lexicon(reversed_corpus)] == ["nok", "uzum", "olma"]
+
+
+def test_load_from_paths_names_a_bad_file_by_its_stem(tmp_path):
+    (tmp_path / "good.txt").write_text("olma", encoding="utf-8")
+    (tmp_path / "broken.txt").write_bytes(b"ol\xffma")
+    with pytest.raises(DecodeError) as excinfo:
+        load_corpus_from_paths([tmp_path / "good.txt", tmp_path / "broken.txt"])
+    assert excinfo.value.name == "broken"
 
 
 def test_collect_keeps_explicit_list_order(tmp_path):

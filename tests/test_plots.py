@@ -1,6 +1,8 @@
+import random
 import time
 import xml.etree.ElementTree as ET
 
+import stoplex.plots
 from stoplex import (
     IndexDistribution,
     StopwordSet,
@@ -76,6 +78,34 @@ def test_density_plot_full_scale_fast_and_small():
     assert elapsed < 1.0
     assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
     ET.fromstring(svg)  # well-formed
+
+
+def test_both_plots_small_at_100k_words(monkeypatch):
+    n = 100_000
+    rng = random.Random(7)
+    weights = [rng.paretovariate(1.0) for _ in range(n)]
+    total = sum(weights)
+    lexicon = make_lexicon([w / total for w in weights])
+    dist = density(lexicon)
+    selected = select_candidates(lexicon, 0.05)
+
+    summary = moment_summary(dist)
+
+    def both_plots():
+        return emit_density_plot(dist, selected, summary), emit_sorted_plot(lexicon, selected)
+
+    for svg in both_plots():
+        assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
+        ET.fromstring(svg)  # well-formed
+    # printed at full precision, no two circles of a class round to the same pixel
+    monkeypatch.setattr(stoplex.plots, "_fmt", repr)
+    for svg in both_plots():
+        pixels = [
+            (c.get("class"), round(float(c.get("cx"))), round(float(c.get("cy"))))
+            for c in ET.fromstring(svg).iter(f"{SVG_NS}circle")
+        ]
+        assert len(pixels) == len(set(pixels))
+        assert {cls for cls, _, _ in pixels} == {"word", "stopword"}
 
 
 def test_sorted_plot_structure():

@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+import stoplex.report
 from stoplex import (
     AllZeroWeights,
     EmptyCorpus,
     RunConfig,
+    StoplexError,
     run_pipeline,
 )
 from stoplex.cli import main
@@ -165,6 +167,41 @@ def test_cli_bad_option_value_exit_2_before_any_output(tmp_path, option):
     code = main(["analyze", str(TOY_DIR), *option, "--out", str(out_dir)])
     assert code == 2
     assert not out_dir.exists()
+
+
+def _fail_last_output(monkeypatch):
+    def emit_sorted_plot(*args):
+        raise StoplexError("cannot render")
+
+    monkeypatch.setattr(stoplex.report, "emit_sorted_plot", emit_sorted_plot)
+
+
+def test_cli_failed_write_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    code = main(["analyze", str(TOY_DIR), "--fraction", "0.4", "--plots", "--out", str(out_dir)])
+    assert code == 0
+    earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert len(earlier) == 5
+    capsys.readouterr()
+    _fail_last_output(monkeypatch)
+    # other weights, so every rewritten output would differ from the earlier run's
+    code = main([
+        "analyze", str(TOY_DIR), "--fraction", "0.4", "--averaging", "containing", "--plots",
+        "--out", str(out_dir),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("stoplex: [write_outputs] ")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
+
+
+def test_cli_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    _fail_last_output(monkeypatch)
+    out_dir = tmp_path / "fresh" / "out"
+    code = main(["analyze", str(TOY_DIR), "--fraction", "0.4", "--plots", "--out", str(out_dir)])
+    assert code == 1
+    assert "[write_outputs]" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_degenerate_exit_3(tmp_path, capsys):
