@@ -1,9 +1,9 @@
 """Corpus loading, tokenization, and first-appearance lexicon construction.
 
 A token is a maximal run of Unicode letters. A single apostrophe is kept
-when it sits between two letters (the Uzbek oʻ/gʻ digraphs); every kept
-apostrophe is rewritten to U+02BB so the variants found in real texts
-(U+0027, U+2019, U+02BC, U+0060) collapse to one code point and do not
+when it sits between two letters (the Uzbek oʻ/gʻ digraphs). The variants
+found in real texts (U+0027, U+2019, U+02BC, U+0060) are rewritten to
+U+02BB before matching, so they collapse to one code point and do not
 create spurious unique words. Text is NFC-normalized before scanning and
 tokens are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
@@ -25,15 +25,16 @@ from .errors import DecodeError, DomainError, EmptyCorpus
 #: Canonical word-internal apostrophe (MODIFIER LETTER TURNED COMMA).
 CANONICAL_APOSTROPHE = "ʻ"
 
+# The apostrophe variants tokenize rewrites to the canonical one before
+# matching, once per text, so the pattern only has to know U+02BB.
+_VARIANT_APOSTROPHES = "'’ʼ`"
 # [^\W\d_] is every letter plus the numerics that are not decimal digits
 # (categories No and Nl, such as ½); tokenize splits those back out with
-# str.isalpha, which holds for exactly the letter categories L*. U+02BB and
-# U+02BC are letters (Lm), so the class leaves them out: a doubled
-# apostrophe must not hide inside a letter run.
-_APOSTROPHES = "'’ʼ`ʻ"
-_LETTERS = r"[^\W\d_ʻʼ]+"
-_WORD = re.compile(rf"{_LETTERS}(?:[{_APOSTROPHES}]{_LETTERS})*")
-_TO_CANONICAL = str.maketrans(dict.fromkeys(_APOSTROPHES, CANONICAL_APOSTROPHE))
+# str.isalpha, which holds for exactly the letter categories L*. U+02BB is a
+# letter (Lm), so the class leaves it out: a doubled apostrophe must not
+# hide inside a letter run. (U+02BC is a letter too, but never reaches the
+# pattern.)
+_WORD = re.compile(r"[^\W\d_ʻ]+(?:ʻ[^\W\d_ʻ]+)*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -52,9 +53,11 @@ def tokenize(text: str) -> list[str]:
 
     Any input yields a (possibly empty) token list.
     """
+    text = unicodedata.normalize("NFC", text)
+    for apostrophe in _VARIANT_APOSTROPHES:
+        text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
     tokens: list[str] = []
-    for match in _WORD.finditer(unicodedata.normalize("NFC", text)):
-        word = match[0].translate(_TO_CANONICAL)
+    for word in _WORD.findall(text):
         if word.isalpha():
             tokens.append(unicodedata.normalize("NFC", word.lower()))
             continue

@@ -8,9 +8,7 @@ representation, so reports diff byte-stably and reload losslessly.
 
 from __future__ import annotations
 
-import csv
 import gc
-import io
 import json
 import math
 import os
@@ -193,14 +191,36 @@ def sample_mean_for(config: RunConfig, lexicon_size: int, stopwords: StopwordSet
     return math.fsum(indices) / len(indices)
 
 
+def _csv_field(text: str) -> str:
+    """A CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_number(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
 def words_csv(lexicon: Lexicon) -> str:
-    """CSV word table in first_index order; floats use repr round-tripping."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["word", "first_index", "doc_frequency", "idf", "weight", "probability"])
+    """CSV word table in first_index order; floats use repr round-tripping.
+
+    Entries with one count profile share their idf, weight and probability
+    objects, so the text of those three columns is rendered once per
+    distinct triple of objects. The key is identity, not value: 0.0 == -0.0,
+    yet the two print differently.
+    """
+    rows = ["word,first_index,doc_frequency,idf,weight,probability\n"]
+    numbers: dict[tuple[int, int, int], str] = {}  # the entries keep every keyed object alive
     for e in lexicon.entries:
-        writer.writerow([e.surface, e.first_index, e.doc_frequency, e.idf, e.weight, e.probability])
-    return buffer.getvalue()
+        key = (id(e.idf), id(e.weight), id(e.probability))
+        text = numbers.get(key)
+        if text is None:
+            text = numbers[key] = (
+                f"{_csv_number(e.idf)},{_csv_number(e.weight)},{_csv_number(e.probability)}\n"
+            )
+        rows.append(f"{_csv_field(e.surface)},{e.first_index},{e.doc_frequency},{text}")
+    return "".join(rows)
 
 
 def run_pipeline(config: RunConfig) -> AnalysisReport:

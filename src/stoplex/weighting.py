@@ -47,20 +47,23 @@ def apply_weights(
     A word's weight is fsum(count * idf) over its non-zero per-document
     counts, divided by n (ALL_DOCS) or m (CONTAINING_DOCS). Documents
     without the word would only add exact zeros to that sum.
+
+    Both numbers depend only on the word's count profile
+    (doc_frequency, doc_counts), so they are computed once per distinct
+    profile and every entry with that profile holds the same float objects.
     """
     mode = AveragingMode(mode)
     n_docs = lexicon.doc_count
     all_docs = mode is AveragingMode.ALL_DOCS
-    idf_by_df: dict[int, float] = {}
+    by_profile: dict[tuple[int, tuple[int, ...]], tuple[float, float]] = {}
     weighted = []
     for surface, first_index, df, total_count, doc_counts, _, _, _ in lexicon.entries:
-        idf = idf_by_df.get(df)
-        if idf is None:
-            idf = idf_by_df[df] = inverse_document_frequency(n_docs, df)
-        weight = math.fsum([count * idf for count in doc_counts]) / (n_docs if all_docs else df)
-        weighted.append(
-            WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight)
-        )
+        numbers = by_profile.get((df, doc_counts))
+        if numbers is None:
+            idf = inverse_document_frequency(n_docs, df)
+            weight = math.fsum([count * idf for count in doc_counts]) / (n_docs if all_docs else df)
+            numbers = by_profile[df, doc_counts] = (idf, weight)
+        weighted.append(WordEntry(surface, first_index, df, total_count, doc_counts, *numbers))
     return Lexicon(tuple(weighted), n_docs)
 
 
@@ -70,6 +73,9 @@ def probabilities(lexicon: Lexicon) -> Lexicon:
     Raises AllZeroWeights when the weight sum is zero, which happens
     exactly when every word occurs in every document: such a corpus
     carries no tf-idf signal and cannot be analyzed by this method.
+
+    Each weight object is divided once, so entries that share a weight
+    (one count profile) share its probability object too.
     """
     weights = [entry.weight for entry in lexicon.entries]
     if None in weights:
@@ -79,8 +85,13 @@ def probabilities(lexicon: Lexicon) -> Lexicon:
         raise AllZeroWeights(
             "all weights are zero (every word occurs in every document)"
         )
-    entries = tuple(
-        WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight, weight / total)
-        for surface, first_index, df, total_count, doc_counts, idf, weight, _ in lexicon.entries
-    )
-    return Lexicon(entries, lexicon.doc_count)
+    by_weight: dict[int, float] = {}  # id(weight) -> probability; the entries keep each weight alive
+    entries = []
+    for surface, first_index, df, total_count, doc_counts, idf, weight, _ in lexicon.entries:
+        probability = by_weight.get(id(weight))
+        if probability is None:
+            probability = by_weight[id(weight)] = weight / total
+        entries.append(
+            WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight, probability)
+        )
+    return Lexicon(tuple(entries), lexicon.doc_count)

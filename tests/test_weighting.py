@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -104,3 +105,19 @@ def test_weight_monotone_in_total_count():
     weighted = apply_weights(build_lexicon(corpus))
     by_surface = {e.surface: e for e in weighted}
     assert by_surface["b"].weight < by_surface["c"].weight < by_surface["a"].weight
+
+
+@pytest.mark.parametrize("mode", list(AveragingMode))
+def test_entries_share_floats_per_count_profile(mode):
+    # 12 hapax words per document, all with the profile (1, (1,)), plus a few others
+    hapax = ["".join(word) for word in itertools.product("xyz", "klmn")]
+    extras = (["olma", "nok", "uzum"] * 3, ["olma", "nok"], ["olma"], ["olma", "olma"])
+    texts = [
+        (f"d{doc}", " ".join([word + doc for word in hapax] + extra))
+        for doc, extra in zip("abcd", extras)
+    ]
+    lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts)), mode))
+    profiles = {(e.doc_frequency, e.doc_counts) for e in lexicon}
+    assert len(profiles) == 4 < lexicon.size == 51
+    assert len({id(e.weight) for e in lexicon}) == len(profiles)
+    assert len({id(e.probability) for e in lexicon}) == len(profiles)
