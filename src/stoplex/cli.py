@@ -87,6 +87,11 @@ def _print_summary(report: AnalysisReport, out_dir: Path) -> None:
         f"(fraction {report.stopwords.fraction:.6g}, threshold {report.stopwords.threshold:.6g})"
     )
     print(
+        f"zero-weight words: {report.stopwords.zero_weight_words}  "
+        f"below threshold: {report.stopwords.below_threshold}  "
+        f"tied at threshold: {report.stopwords.tied_at_threshold}"
+    )
+    print(
         f"outside (E-sigma, E+sigma): {format_percent(cov.outside_fraction)} "
         f"(left {cov.left_count}, inside {cov.inside_count}, right {cov.right_count})"
     )

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DecodeError, DomainError, EmptyCorpus
 
@@ -82,12 +82,12 @@ class Corpus:
 
 
 class WordEntry(NamedTuple):
-    """One unique word with its corpus statistics.
+    """A row view of one lexicon word: its surface and index plus its profile's row.
 
     ``doc_counts`` holds the word's non-zero per-document counts in document
     order, so ``doc_frequency == len(doc_counts)`` and
     ``total_count == sum(doc_counts)``. ``idf``, ``weight`` and
-    ``probability`` are None until filled in by the weighting step.
+    ``probability`` are None while the lexicon's column is unfilled.
     """
 
     surface: str
@@ -95,31 +95,76 @@ class WordEntry(NamedTuple):
     doc_frequency: int
     total_count: int
     doc_counts: tuple[int, ...]
-    idf: float | None = None
-    weight: float | None = None
-    probability: float | None = None
+    idf: float | None
+    weight: float | None
+    probability: float | None
 
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Unique words ordered by first appearance; entry k has first_index k+1."""
+    """Unique words in first-appearance order over a table of count profiles.
 
-    entries: tuple[WordEntry, ...]
-    doc_count: int  # documents in the corpus the entries were counted in
+    A word's count profile is its ``doc_counts``; most words share theirs
+    with many others. Word k (first_index k + 1) is ``surfaces[k]`` with
+    profile ``profile_ids[k]``. The table has one row per distinct profile,
+    stored by column and indexed by profile id: ``doc_counts`` and
+    ``total_count`` from build_lexicon, ``idf`` and ``weight`` from
+    apply_weights, ``probability`` from probabilities. A number column stays
+    empty until its stage fills it.
+    """
+
+    surfaces: tuple[str, ...]
+    profile_ids: array  # array("I"): one profile id per word
+    doc_counts: tuple[tuple[int, ...], ...]
+    total_count: tuple[int, ...]
+    doc_count: int  # documents in the corpus the words were counted in
+    idf: tuple[float, ...] = ()
+    weight: tuple[float, ...] = ()
+    probability: tuple[float, ...] = ()
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.surfaces)
 
-    def __iter__(self):
-        return iter(self.entries)
+    def column(self, name: str) -> tuple[float, ...]:
+        """The filled number column "idf", "weight" or "probability", by profile id.
 
-    def entry(self, surface: str) -> WordEntry:
-        return self._by_surface[surface]
+        Raises DomainError while the stage that fills it has not run.
+        """
+        values = getattr(self, name)
+        if len(values) != len(self.doc_counts):
+            raise DomainError(f"the {name} column is unset; the weighting step fills it")
+        return values
 
-    @cached_property
-    def _by_surface(self) -> dict[str, WordEntry]:
-        return {e.surface: e for e in self.entries}
+    def _profile_row(self, pid: int) -> tuple:
+        """The WordEntry fields after first_index of the words with profile ``pid``."""
+        counts = self.doc_counts[pid]
+        return (
+            len(counts),
+            self.total_count[pid],
+            counts,
+            self.idf[pid] if self.idf else None,
+            self.weight[pid] if self.weight else None,
+            self.probability[pid] if self.probability else None,
+        )
+
+    def row(self, position: int) -> WordEntry:
+        """The word at 0-based ``position`` (first_index position + 1) as a WordEntry."""
+        return WordEntry(
+            self.surfaces[position], position + 1, *self._profile_row(self.profile_ids[position])
+        )
+
+    @property
+    def entries(self) -> Iterator[WordEntry]:
+        """Every word as a WordEntry row, in first_index order, made afresh on each call."""
+        profiles = [self._profile_row(pid) for pid in range(len(self.doc_counts))]
+        return (
+            WordEntry(surface, first_index, *profiles[pid])
+            for first_index, (surface, pid) in enumerate(zip(self.surfaces, self.profile_ids), start=1)
+        )
+
+    def __iter__(self) -> Iterator[WordEntry]:
+        return self.entries
 
 
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
@@ -184,16 +229,16 @@ def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
 
 
 def build_lexicon(corpus: Corpus) -> Lexicon:
-    """One entry per distinct token, indexed by order of first appearance.
+    """The corpus's words in first-appearance order over their count profiles.
 
-    The postings are already in first-appearance order with counts in
-    document order, so indices never depend on scheduling. idf, weight and
-    probability stay unset; the weighting step fills them.
+    One pass over the postings, which are already in first-appearance order
+    with counts in document order, so indices never depend on scheduling.
+    Profile ids number the distinct profiles in order of their first word.
+    The number columns stay empty; the weighting step fills them.
     """
+    ids: dict[tuple[int, ...], int] = {}
+    profile_ids = array("I", [ids.setdefault(tuple(c), len(ids)) for c in corpus.postings.values()])
+    doc_counts = tuple(ids)
     return Lexicon(
-        tuple(
-            WordEntry(surface, first_index, len(c), sum(c), tuple(c))
-            for first_index, (surface, c) in enumerate(corpus.postings.items(), start=1)
-        ),
-        corpus.doc_count,
+        tuple(corpus.postings), profile_ids, doc_counts, tuple(map(sum, doc_counts)), corpus.doc_count
     )

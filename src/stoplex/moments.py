@@ -67,12 +67,8 @@ class MomentSummary:
 
 def density(lexicon: Lexicon) -> IndexDistribution:
     """Index distribution of a lexicon with probabilities filled in."""
-    probs = []
-    for entry in lexicon.entries:
-        if entry.probability is None:
-            raise DomainError(f"entry {entry.surface!r} has no probability")
-        probs.append(entry.probability)
-    return IndexDistribution(tuple(probs))
+    probability = lexicon.column("probability")
+    return IndexDistribution(tuple(map(probability.__getitem__, lexicon.profile_ids)))
 
 
 def raw_moment(dist: IndexDistribution, k: int) -> float:

@@ -7,7 +7,8 @@ the same data are byte-identical.
 
 from __future__ import annotations
 
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice, repeat
 from typing import Iterable
 
 from .corpus import Lexicon
@@ -153,16 +154,22 @@ def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
     """Probabilities in descending order with the selection cutoff marked.
 
     The cutoff line sits after rank N - k, separating the kept words from
-    the k candidates at the low end of the curve.
+    the k candidates at the low end of the curve. The curve is drawn from
+    the count profiles' probabilities, each repeated once per word.
     """
-    probs = sorted((e.probability or 0.0 for e in lexicon.entries), reverse=True)
-    n = len(probs)
+    words = Counter(lexicon.profile_ids)
+    profiles = sorted(
+        ((value, words[pid]) for pid, value in enumerate(lexicon.column("probability"))),
+        reverse=True,
+    )
+    n = lexicon.size
     k = candidates.count
-    y_max = probs[0] if probs and probs[0] > 0 else 1.0
+    y_max = profiles[0][0] if profiles and profiles[0][0] > 0 else 1.0
     frame = _Frame(0.5, n + 0.5, 0.0, y_max * 1.05)
 
     parts = [_header("unique words sorted by probability")]
     parts.extend(_axes(frame, "rank (descending probability)", "probability"))
+    probs = chain.from_iterable(repeat(value, count) for value, count in profiles)
     ranked = enumerate(probs, start=1)  # ranks up to N - k are kept words, the rest candidates
     parts.extend(_circles(frame, islice(ranked, max(n - k, 0)), "word", 2, _POINT_COLOR))
     parts.extend(_circles(frame, ranked, "stopword", 2, _CANDIDATE_COLOR))

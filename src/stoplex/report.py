@@ -14,6 +14,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -107,6 +108,9 @@ class AnalysisReport:
                 "fraction": self.stopwords.fraction,
                 "count": self.stopwords.count,
                 "threshold": self.stopwords.threshold,
+                "zero_weight_words": self.stopwords.zero_weight_words,
+                "below_threshold": self.stopwords.below_threshold,
+                "tied_at_threshold": self.stopwords.tied_at_threshold,
             },
             "coverage": {
                 "left": self.coverage.left_count,
@@ -169,10 +173,10 @@ def _stage(name: str):
 def _cycle_collection_paused():
     """Pause the cyclic garbage collector; its previous state is restored on exit.
 
-    Loading allocates one acyclic postings list per word and the lexicon
-    stages one acyclic record per word, several times over. With collection
-    on, the collector's repeated passes over that growing heap took about
-    half of the lexicon stages' time at N = 117 695.
+    Loading allocates one acyclic postings list per word, and building the
+    lexicon one count tuple per word. With collection on, the collector's
+    repeated passes over that growing heap took about half of the lexicon
+    stages' time at N = 117 695.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -205,21 +209,21 @@ def _csv_number(value: float | None) -> str:
 def words_csv(lexicon: Lexicon) -> str:
     """CSV word table in first_index order; floats use repr round-tripping.
 
-    Entries with one count profile share their idf, weight and probability
-    objects, so the text of those three columns is rendered once per
-    distinct triple of objects. The key is identity, not value: 0.0 == -0.0,
-    yet the two print differently.
+    The doc_frequency, idf, weight and probability fields depend only on
+    the word's count profile, so their text is rendered once per profile.
+    A number column the lexicon has not filled yet prints empty fields.
     """
+    numbers = [
+        f"{len(counts)},{_csv_number(idf)},{_csv_number(weight)},{_csv_number(probability)}\n"
+        for counts, idf, weight, probability in zip_longest(
+            lexicon.doc_counts, lexicon.idf, lexicon.weight, lexicon.probability
+        )
+    ]
     rows = ["word,first_index,doc_frequency,idf,weight,probability\n"]
-    numbers: dict[tuple[int, int, int], str] = {}  # the entries keep every keyed object alive
-    for e in lexicon.entries:
-        key = (id(e.idf), id(e.weight), id(e.probability))
-        text = numbers.get(key)
-        if text is None:
-            text = numbers[key] = (
-                f"{_csv_number(e.idf)},{_csv_number(e.weight)},{_csv_number(e.probability)}\n"
-            )
-        rows.append(f"{_csv_field(e.surface)},{e.first_index},{e.doc_frequency},{text}")
+    rows += [
+        f"{_csv_field(surface)},{first_index},{numbers[pid]}"
+        for first_index, (surface, pid) in enumerate(zip(lexicon.surfaces, lexicon.profile_ids), start=1)
+    ]
     return "".join(rows)
 
 

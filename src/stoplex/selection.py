@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -13,11 +14,19 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class StopwordSet:
-    """The selected candidates, sorted ascending by probability."""
+    """The selected candidates, sorted ascending by probability.
+
+    The three counts say how decisive the data was: the candidates are the
+    ``below_threshold`` words plus ``count - below_threshold`` of the
+    ``tied_at_threshold`` words, picked by the tie-break rule alone.
+    """
 
     fraction: float
     threshold: float  # maximum probability among the candidates
     candidates: tuple[WordEntry, ...]
+    zero_weight_words: int  # words of the lexicon whose weight is 0.0
+    below_threshold: int  # words of the lexicon with probability < threshold
+    tied_at_threshold: int  # words of the lexicon with probability == threshold
 
     @property
     def count(self) -> int:
@@ -59,18 +68,46 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     lexicographically smaller surface form, so reruns always produce the
     same ordered list. The threshold reported is the largest probability
     among the selected words.
+
+    Probability and total count are profile values, so profiles are
+    grouped by those values, never by id: profiles that are permutations
+    of each other, such as (1, 3) and (3, 1), are distinct rows with equal
+    numbers. Whole groups are taken in ascending order while they fit, and
+    only the words of the last group are ranked, by surface.
     """
     k = candidate_count(lexicon.size, fraction)
-    for entry in lexicon.entries:
-        if entry.probability is None:
-            raise DomainError(f"entry {entry.surface!r} has no probability")
-    chosen = tuple(
-        heapq.nsmallest(k, lexicon.entries, key=lambda e: (e.probability, e.total_count, e.surface))
-    )
+    probability = lexicon.column("probability")
+    words = Counter(lexicon.profile_ids)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for pid, key in enumerate(zip(probability, lexicon.total_count)):
+        groups.setdefault(key, []).append(pid)
+    keys = sorted(groups)
+    sizes = [sum(words[pid] for pid in groups[key]) for key in keys]
+    taken = 0  # words in the groups before the last one
+    for last, size in enumerate(sizes):  # breaks at the latest on the last group, as k <= N
+        if taken + size >= k:
+            break
+        taken += size
+
+    rank = {pid: r for r, key in enumerate(keys[: last + 1]) for pid in groups[key]}
+    members: list[list[int]] = [[] for _ in range(last + 1)]  # word positions per group
+    for position, pid in enumerate(lexicon.profile_ids):
+        r = rank.get(pid)
+        if r is not None:
+            members[r].append(position)
+    by_surface = lexicon.surfaces.__getitem__
+    picked = [position for group in members[:last] for position in sorted(group, key=by_surface)]
+    picked += heapq.nsmallest(k - taken, members[last], key=by_surface)
+    candidates = tuple(map(lexicon.row, picked))
+
+    threshold = candidates[-1].probability
     return StopwordSet(
         fraction=float(_as_fraction(fraction)),
-        threshold=chosen[-1].probability,
-        candidates=chosen,
+        threshold=threshold,
+        candidates=candidates,
+        zero_weight_words=sum(words[pid] for pid, w in enumerate(lexicon.column("weight")) if w == 0.0),
+        below_threshold=sum(size for (p, _), size in zip(keys, sizes) if p < threshold),
+        tied_at_threshold=sum(size for (p, _), size in zip(keys, sizes) if p == threshold),
     )
 
 

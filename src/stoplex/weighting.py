@@ -13,9 +13,10 @@ independent of any evaluation schedule.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from enum import Enum
 
-from .corpus import Lexicon, WordEntry
+from .corpus import Lexicon
 from .errors import AllZeroWeights, DomainError
 
 
@@ -42,56 +43,36 @@ def inverse_document_frequency(n_docs: int, doc_frequency: int) -> float:
 def apply_weights(
     lexicon: Lexicon, mode: AveragingMode | str = AveragingMode.ALL_DOCS
 ) -> Lexicon:
-    """Return a new lexicon with idf and weight filled on every entry.
+    """Return the lexicon with its idf and weight columns filled.
 
-    A word's weight is fsum(count * idf) over its non-zero per-document
+    A profile's weight is fsum(count * idf) over its non-zero per-document
     counts, divided by n (ALL_DOCS) or m (CONTAINING_DOCS). Documents
-    without the word would only add exact zeros to that sum.
-
-    Both numbers depend only on the word's count profile
-    (doc_frequency, doc_counts), so they are computed once per distinct
-    profile and every entry with that profile holds the same float objects.
+    without the word would only add exact zeros to that sum. Both numbers
+    are computed once per count profile; any probability column is cleared.
     """
     mode = AveragingMode(mode)
     n_docs = lexicon.doc_count
     all_docs = mode is AveragingMode.ALL_DOCS
-    by_profile: dict[tuple[int, tuple[int, ...]], tuple[float, float]] = {}
-    weighted = []
-    for surface, first_index, df, total_count, doc_counts, _, _, _ in lexicon.entries:
-        numbers = by_profile.get((df, doc_counts))
-        if numbers is None:
-            idf = inverse_document_frequency(n_docs, df)
-            weight = math.fsum([count * idf for count in doc_counts]) / (n_docs if all_docs else df)
-            numbers = by_profile[df, doc_counts] = (idf, weight)
-        weighted.append(WordEntry(surface, first_index, df, total_count, doc_counts, *numbers))
-    return Lexicon(tuple(weighted), n_docs)
+    idf = tuple(inverse_document_frequency(n_docs, len(counts)) for counts in lexicon.doc_counts)
+    weight = tuple(
+        math.fsum([count * profile_idf for count in counts]) / (n_docs if all_docs else len(counts))
+        for counts, profile_idf in zip(lexicon.doc_counts, idf)
+    )
+    return replace(lexicon, idf=idf, weight=weight, probability=())
 
 
 def probabilities(lexicon: Lexicon) -> Lexicon:
-    """Normalize weights into probabilities; order and indices unchanged.
+    """Return the lexicon with its probability column filled.
 
-    Raises AllZeroWeights when the weight sum is zero, which happens
-    exactly when every word occurs in every document: such a corpus
-    carries no tf-idf signal and cannot be analyzed by this method.
-
-    Each weight object is divided once, so entries that share a weight
-    (one count profile) share its probability object too.
+    The normalizing total is fsum over every word's weight in first_index
+    order, one term per word. Raises AllZeroWeights when it is zero, which
+    happens exactly when every word occurs in every document: such a
+    corpus carries no tf-idf signal and cannot be analyzed by this method.
     """
-    weights = [entry.weight for entry in lexicon.entries]
-    if None in weights:
-        raise DomainError("weights are unset; call apply_weights first")
-    total = math.fsum(weights)
+    weight = lexicon.column("weight")
+    total = math.fsum(map(weight.__getitem__, lexicon.profile_ids))
     if total <= 0.0:
         raise AllZeroWeights(
             "all weights are zero (every word occurs in every document)"
         )
-    by_weight: dict[int, float] = {}  # id(weight) -> probability; the entries keep each weight alive
-    entries = []
-    for surface, first_index, df, total_count, doc_counts, idf, weight, _ in lexicon.entries:
-        probability = by_weight.get(id(weight))
-        if probability is None:
-            probability = by_weight[id(weight)] = weight / total
-        entries.append(
-            WordEntry(surface, first_index, df, total_count, doc_counts, idf, weight, probability)
-        )
-    return Lexicon(tuple(entries), lexicon.doc_count)
+    return replace(lexicon, probability=tuple(w / total for w in weight))

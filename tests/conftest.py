@@ -1,9 +1,10 @@
+from array import array
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from stoplex import Lexicon, WordEntry, build_lexicon, load_corpus
+from stoplex import Lexicon, StopwordSet, build_lexicon, load_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 TOY_DIR = DATA_DIR / "corpus_t"
@@ -27,25 +28,35 @@ def toy_lexicon(toy_corpus):
 
 
 def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
-    """Synthetic lexicon with given probabilities, for selector/position tests."""
+    """Synthetic lexicon with given probabilities, for selector/position tests.
+
+    Word k gets a count profile of its own, (counts[k],) by default (1,),
+    with idf 1.0 and both weight and probability probabilities[k].
+    """
     n = len(probabilities)
-    entries = []
-    for pos, p in enumerate(probabilities):
-        total = counts[pos] if counts is not None else 1
-        surface = surfaces[pos] if surfaces is not None else f"w{pos + 1:06d}"
-        entries.append(
-            WordEntry(
-                surface=surface,
-                first_index=pos + 1,
-                doc_frequency=1,
-                total_count=total,
-                doc_counts=(total,),
-                idf=1.0,
-                weight=p,
-                probability=p,
-            )
-        )
-    return Lexicon(tuple(entries), doc_count=2)
+    totals = tuple(counts) if counts is not None else (1,) * n
+    return Lexicon(
+        surfaces=tuple(surfaces) if surfaces is not None else tuple(f"w{k:06d}" for k in range(1, n + 1)),
+        profile_ids=array("I", range(n)),
+        doc_counts=tuple((total,) for total in totals),
+        total_count=totals,
+        doc_count=2,
+        idf=(1.0,) * n,
+        weight=tuple(probabilities),
+        probability=tuple(probabilities),
+    )
+
+
+def stopword_set(candidates=()) -> StopwordSet:
+    """Hand-picked candidates for coverage, export and plot tests, which read no counts."""
+    return StopwordSet(
+        fraction=0.05,
+        threshold=0.0,
+        candidates=tuple(candidates),
+        zero_weight_words=0,
+        below_threshold=0,
+        tied_at_threshold=0,
+    )
 
 
 # ---------------------------------------------------------------------------

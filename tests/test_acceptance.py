@@ -24,11 +24,10 @@ from stoplex import (
     run_pipeline,
     select_candidates,
     z_score,
-    StopwordSet,
 )
 from stoplex.cli import main
 
-from conftest import TOY_DIR, TOY_SOURCES, make_lexicon
+from conftest import TOY_DIR, TOY_SOURCES, make_lexicon, stopword_set
 
 
 def test_criterion_1_z_score_checkpoint(criterion):
@@ -51,11 +50,7 @@ def test_criterion_3_coverage_checkpoint(criterion):
     with criterion(3, "coverage left=545 right=6 of 642 -> 0.8583 +/- 0.0005, shown as 85.8%"):
         indices = [10] * 545 + [7000] * 91 + [12500] * 6
         lexicon = make_lexicon([0.0] * 12837)
-        candidates = StopwordSet(
-            fraction=0.05,
-            threshold=0.0,
-            candidates=tuple(lexicon.entries[i - 1] for i in indices),
-        )
+        candidates = stopword_set(lexicon.row(i - 1) for i in indices)
         summary = MomentSummary(
             expectation=7076.62,
             dispersion=3461.419**2,
@@ -247,7 +242,8 @@ def test_criterion_9_cli_end_to_end(criterion, tmp_path, capsys):
         elapsed = time.perf_counter() - start
         assert code == 0
         assert elapsed < 1.0
-        capsys.readouterr()
+        summary = capsys.readouterr().out.splitlines()
+        assert summary[3] == "zero-weight words: 0  below threshold: 1  tied at threshold: 2"
 
         stopwords = (out_dir / "stopwords.txt").read_text(encoding="utf-8")
         assert stopwords == "nok\nolma\n"
@@ -263,6 +259,11 @@ def test_criterion_9_cli_end_to_end(criterion, tmp_path, capsys):
         }
         assert report["corpus"] == {"documents": 3, "unique_words": 3, "tokens": 8}
         assert report["stopwords"]["count"] == 2
+        # p = (0.375, 0.25, 0.375): "nok" lies below the threshold, and the
+        # tie-break picks "olma" from the two words tied at it
+        assert report["stopwords"]["zero_weight_words"] == 0
+        assert report["stopwords"]["below_threshold"] == 1
+        assert report["stopwords"]["tied_at_threshold"] == 2
         assert report["verdict"]["location"] == "BothEnds"
 
         for name in ("density.svg", "sorted.svg"):

@@ -5,7 +5,6 @@ import xml.etree.ElementTree as ET
 import stoplex.plots
 from stoplex import (
     IndexDistribution,
-    StopwordSet,
     apply_weights,
     build_lexicon,
     density,
@@ -17,7 +16,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, make_lexicon
+from conftest import TOY_SOURCES, make_lexicon, stopword_set
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -52,7 +51,7 @@ def test_density_plot_structure():
 
 def test_density_plot_empty_candidates():
     _, dist, summary, _ = toy_parts()
-    empty = StopwordSet(fraction=0.05, threshold=0.0, candidates=())
+    empty = stopword_set()
     counts = by_class(emit_density_plot(dist, empty, summary))
     assert counts.get("stopword", 0) == 0
     assert counts.get("word", 0) == 3

@@ -19,7 +19,7 @@ from stoplex import (
     z_score,
 )
 
-from conftest import make_lexicon
+from conftest import make_lexicon, stopword_set
 
 
 def summary_with(expectation: float, std_dev: float) -> MomentSummary:
@@ -39,8 +39,7 @@ def candidates_at(indices) -> StopwordSet:
     size = max(indices)
     probs = [0.0] * size
     lexicon = make_lexicon(probs)
-    chosen = tuple(lexicon.entries[i - 1] for i in indices)
-    return StopwordSet(fraction=0.05, threshold=0.0, candidates=chosen)
+    return stopword_set(lexicon.row(i - 1) for i in indices)
 
 
 # --- interval coverage ------------------------------------------------------
@@ -85,7 +84,7 @@ def test_coverage_degenerate_sigma():
 
 
 def test_coverage_needs_candidates():
-    empty = StopwordSet(fraction=0.05, threshold=0.0, candidates=())
+    empty = stopword_set()
     with pytest.raises(DomainError):
         interval_coverage(empty, summary_with(5.0, 2.0))
 

@@ -62,7 +62,9 @@ def test_report_schema_exact(tmp_path):
         "expectation", "dispersion", "std_dev", "raw_moment_1", "raw_moment_2",
         "raw_moment_3", "third_central_moment", "asymmetry",
     }
-    assert set(report["stopwords"]) == {"fraction", "count", "threshold"}
+    assert set(report["stopwords"]) == {
+        "fraction", "count", "threshold", "zero_weight_words", "below_threshold", "tied_at_threshold",
+    }
     assert set(report["coverage"]) == {"left", "inside", "right", "outside_fraction"}
     assert set(report["z_test"]) == {"n", "x_bar", "z", "critical", "x_bar_side", "decision"}
     assert set(report["verdict"]) == {"asymmetry", "location"}

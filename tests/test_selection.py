@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stoplex import (
+    AveragingMode,
     DomainError,
     apply_weights,
     build_lexicon,
@@ -12,10 +13,9 @@ from stoplex import (
     load_corpus,
     probabilities,
     select_candidates,
-    StopwordSet,
 )
 
-from conftest import make_lexicon
+from conftest import make_lexicon, stopword_set
 
 
 def toy_probability_lexicon(toy_lexicon):
@@ -92,7 +92,7 @@ def test_export_list_toy(toy_lexicon):
 
 
 def test_export_list_empty():
-    empty = StopwordSet(fraction=0.05, threshold=0.0, candidates=())
+    empty = stopword_set()
     assert export_list(empty) == ""
 
 
@@ -121,3 +121,51 @@ def test_selection_equals_full_sort_under_ties(rows, fraction, data):
     chosen = select_candidates(lexicon, fraction)
     assert chosen.candidates == tuple(ranked[:k])
     assert chosen.threshold == ranked[k - 1].probability
+
+
+@st.composite
+def permuted_profile_texts(draw) -> list[str]:
+    """Documents whose words come in pairs with permuted count vectors.
+
+    A vector such as (1, 0, 3) goes to one word and a permutation of it,
+    such as (3, 1, 0), to another: their count profiles (1, 3) and (3, 1)
+    are distinct table rows with equal probabilities.
+    """
+    n_docs = draw(st.integers(2, 4))
+    vector = st.lists(st.integers(0, 3), min_size=n_docs, max_size=n_docs).filter(any)
+    vectors = []
+    for counts in draw(st.lists(vector, min_size=1, max_size=10)):
+        vectors += [counts, draw(st.permutations(counts))]
+    assume(not all(all(counts) for counts in vectors))  # some weight is not zero
+    surfaces = draw(
+        st.lists(
+            st.text("abcdef", min_size=1, max_size=3),
+            min_size=len(vectors),
+            max_size=len(vectors),
+            unique=True,
+        )
+    )
+    return [
+        " ".join(s for s, counts in zip(surfaces, vectors) for _ in range(counts[d]))
+        for d in range(n_docs)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_profile_texts())
+@example(["b a a a c", "b b b a", "c"])  # "b" has the profile (1, 3), "a" (3, 1)
+def test_selection_ranks_permuted_profiles_together(texts):
+    for mode in AveragingMode:
+        lexicon = probabilities(
+            apply_weights(build_lexicon(load_corpus((f"d{d}", text) for d, text in enumerate(texts))), mode)
+        )
+        rows = list(lexicon.entries)
+        ranked = sorted(rows, key=lambda e: (e.probability, e.total_count, e.surface))
+        for k in range(1, lexicon.size):
+            chosen = select_candidates(lexicon, Fraction(k, lexicon.size))
+            assert chosen.candidates == tuple(ranked[:k])
+            threshold = ranked[k - 1].probability
+            assert chosen.threshold == threshold
+            assert chosen.zero_weight_words == sum(e.weight == 0.0 for e in rows)
+            assert chosen.below_threshold == sum(e.probability < threshold for e in rows)
+            assert chosen.tied_at_threshold == sum(e.probability == threshold for e in rows)

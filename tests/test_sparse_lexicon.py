@@ -1,4 +1,4 @@
-"""The sparse counts-only lexicon against the dense reference it replaced."""
+"""The count-profile lexicon table against the dense reference it replaced."""
 
 import string
 import tracemalloc
@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import csv_oracle
 import dense_oracle
 from stoplex import (
     AllZeroWeights,
@@ -30,38 +31,56 @@ sources = st.builds(
     documents,
     st.booleans(),
 )
-modes = st.sampled_from(list(AveragingMode))
+
+
+def _word_rows(table):
+    """Per word: (surface, first_index, doc_frequency, total_count, doc_counts), read from the table."""
+    return [
+        (surface, first_index, len(table.doc_counts[pid]), table.total_count[pid], table.doc_counts[pid])
+        for first_index, (surface, pid) in enumerate(zip(table.surfaces, table.profile_ids), start=1)
+    ]
+
+
+def _per_word(table, column):
+    return [getattr(table, column)[pid] for pid in table.profile_ids]
 
 
 @settings(max_examples=300, deadline=None)
-@given(sources, modes)
-@example([("d1", "olma nok olma"), ("d2", ""), ("d3", "nok uzum uzum uzum")], AveragingMode.ALL_DOCS)
-@example([("d1", "va olma olma"), ("d2", "nok va va"), ("d3", "va uzum")], AveragingMode.CONTAINING_DOCS)
-@example([("d1", "va olma"), ("d2", "olma va")], AveragingMode.ALL_DOCS)
-@example([("d1", ""), ("d2", "")], AveragingMode.CONTAINING_DOCS)
-def test_sparse_lexicon_matches_dense_oracle(texts, mode):
-    sparse = build_lexicon(load_corpus(texts))
+@given(sources)
+@example([("d1", "olma nok olma"), ("d2", ""), ("d3", "nok uzum uzum uzum")])
+@example([("d1", "va olma olma"), ("d2", "nok va va"), ("d3", "va uzum")])
+@example([("d1", "va olma"), ("d2", "olma va")])
+@example([("d1", ""), ("d2", "")])
+@example([("d1", "olma nok nok nok"), ("d2", "olma olma olma nok")])  # profiles (1, 3) and (3, 1)
+def test_sparse_lexicon_matches_dense_oracle(texts):
+    table = build_lexicon(load_corpus(texts))
     dense = dense_oracle.build_lexicon([tokenize(text) for _, text in texts])
-    assert [(e.surface, e.first_index, e.doc_frequency, e.total_count) for e in sparse] == [
-        (e.surface, e.first_index, e.doc_frequency, e.total_count) for e in dense.entries
+    # one row per distinct count profile, numbered in order of its first word
+    assert list(dict.fromkeys(map(table.doc_counts.__getitem__, table.profile_ids))) == list(
+        table.doc_counts
+    )
+    assert _word_rows(table) == [
+        (e.surface, e.first_index, e.doc_frequency, e.total_count, tuple(c for c in e.per_doc_counts if c))
+        for e in dense.entries
     ]
-    assert [e.doc_counts for e in sparse] == [
-        tuple(c for c in e.per_doc_counts if c) for e in dense.entries
-    ]
+    assert words_csv(table) == csv_oracle.words_csv(dense)
 
-    sparse = apply_weights(sparse, mode)
-    dense = dense_oracle.apply_weights(dense, mode)
-    assert [(e.idf, e.weight) for e in sparse] == [(e.idf, e.weight) for e in dense.entries]
+    for mode in AveragingMode:
+        weighted = apply_weights(table, mode)
+        dense_weighted = dense_oracle.apply_weights(dense, mode)
+        assert _per_word(weighted, "idf") == [e.idf for e in dense_weighted.entries]
+        assert _per_word(weighted, "weight") == [e.weight for e in dense_weighted.entries]
+        assert words_csv(weighted) == csv_oracle.words_csv(dense_weighted)
 
-    try:
-        dense = dense_oracle.probabilities(dense)
-    except AllZeroWeights:
-        with pytest.raises(AllZeroWeights):
-            probabilities(sparse)
-        return
-    sparse = probabilities(sparse)
-    assert [e.probability for e in sparse] == [e.probability for e in dense.entries]
-    assert words_csv(sparse) == words_csv(dense)
+        try:
+            dense_p = dense_oracle.probabilities(dense_weighted)
+        except AllZeroWeights:
+            with pytest.raises(AllZeroWeights):
+                probabilities(weighted)
+            continue
+        table_p = probabilities(weighted)
+        assert _per_word(table_p, "probability") == [e.probability for e in dense_p.entries]
+        assert words_csv(table_p) == csv_oracle.words_csv(dense_p)
 
 
 def _letter_code(number: int) -> str:
@@ -91,3 +110,26 @@ def test_lexicon_memory_grows_with_postings_not_words_times_documents():
     # a dense count table alone needs one machine word per (word, document) cell
     dense_cells_bytes = lexicon.size * n_docs * 8
     assert peak < dense_cells_bytes / 10
+
+
+def test_lexicon_stages_hold_far_less_than_one_record_per_word():
+    # 10^5 words over 8 count profiles: word j occurs j % 3 + 1 times in
+    # document j % 4, and odd words once more in the next document
+    n_words, n_docs = 100_000, 4
+    documents = [[] for _ in range(n_docs)]
+    for j in range(n_words):
+        word = _letter_code(j)
+        documents[j % n_docs] += [word] * (j % 3 + 1)
+        if j % 2:
+            documents[(j + 1) % n_docs].append(word)
+    corpus = load_corpus((f"d{d}", " ".join(words)) for d, words in enumerate(documents))
+    tracemalloc.start()
+    try:
+        lexicon = probabilities(apply_weights(build_lexicon(corpus)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: 12 bytes per word (a surface pointer and a 4-byte profile id);
+    # one 8-field WordEntry per word alone would cost 120
+    assert peak / n_words < 24
+    assert (lexicon.size, len(lexicon.doc_counts)) == (n_words, 8)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,6 @@ from stoplex import (
     AllZeroWeights,
     AveragingMode,
     DomainError,
-    Lexicon,
     apply_weights,
     build_lexicon,
     inverse_document_frequency,
@@ -53,7 +53,7 @@ def test_weight_zero_iff_in_every_document():
 
 def test_apply_weights_rejects_doc_frequency_above_doc_count(toy_lexicon):
     # every toy word occurs in 2 documents, which a 1-document lexicon cannot hold
-    lexicon = Lexicon(toy_lexicon.entries, doc_count=1)
+    lexicon = replace(toy_lexicon, doc_count=1)
     with pytest.raises(DomainError):
         apply_weights(lexicon)
 
@@ -118,6 +118,6 @@ def test_entries_share_floats_per_count_profile(mode):
     ]
     lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts)), mode))
     profiles = {(e.doc_frequency, e.doc_counts) for e in lexicon}
-    assert len(profiles) == 4 < lexicon.size == 51
+    assert len(profiles) == len(lexicon.doc_counts) == 4 < lexicon.size == 51
     assert len({id(e.weight) for e in lexicon}) == len(profiles)
     assert len({id(e.probability) for e in lexicon}) == len(profiles)

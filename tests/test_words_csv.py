@@ -1,21 +1,34 @@
 """The words.csv text against the csv.writer rendering it replaced."""
 
 import math
+from array import array
+from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
-from stoplex import Lexicon, WordEntry, words_csv
+from stoplex import Lexicon, words_csv
+
+NUMBER_COLUMNS = ("idf", "weight", "probability")
 
 
-def _lexicon(rows) -> Lexicon:
-    """One entry per (surface, doc_frequency, idf, weight, probability) row."""
+def _lexicon(words, profiles, filled=NUMBER_COLUMNS) -> Lexicon:
+    """Words as (surface, profile id) over (doc_frequency, idf, weight, probability) rows.
+
+    Only the number columns named in ``filled`` are set; the rest stay empty.
+    """
+    doc_counts = tuple((1,) * df for df, *_ in profiles)
+    columns = {
+        name: tuple(row[column] for row in profiles) if name in filled else ()
+        for column, name in enumerate(NUMBER_COLUMNS, start=1)
+    }
     return Lexicon(
-        tuple(
-            WordEntry(surface, first_index, df, df, (1,) * df, idf, weight, probability)
-            for first_index, (surface, df, idf, weight, probability) in enumerate(rows, start=1)
-        ),
-        doc_count=2,
+        surfaces=tuple(surface for surface, _ in words),
+        profile_ids=array("I", [pid for _, pid in words]),
+        doc_counts=doc_counts,
+        total_count=tuple(map(sum, doc_counts)),
+        doc_count=30,
+        **columns,
     )
 
 
@@ -23,7 +36,7 @@ def _lexicon(rows) -> Lexicon:
 # line terminator is "\n", and words_csv keeps that rule on every version.
 # Where the running csv.writer quotes it instead, "\r" is dropped from the
 # surfaces so that everything else is still compared.
-CSV_QUOTES_LONE_CR = '"\r"' in csv_oracle.words_csv(_lexicon([("\r", 1, None, None, None)]))
+CSV_QUOTES_LONE_CR = '"\r"' in csv_oracle.words_csv(_lexicon([("\r", 0)], [(1, 0.0, 0.0, 0.0)]))
 
 # Python 3.10's csv.writer raises on NUL, so no surface holds one.
 CHARACTERS = st.characters(exclude_characters="\x00")
@@ -32,23 +45,17 @@ surfaces = st.lists(
 ).map("".join)
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.225073858507201e-308, 1.0]
-numbers = st.one_of(st.none(), st.sampled_from(SPECIAL_FLOATS), st.floats())
+numbers = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 
 
 @st.composite
 def lexicons(draw) -> Lexicon:
-    """Entries that draw their numbers from a small pool, so some share float objects.
-
-    The pool also holds a fresh copy of each float: an equal value in a
-    different object.
-    """
-    pool = draw(st.lists(numbers, min_size=1, max_size=6))
-    pool += [float.fromhex(x.hex()) for x in pool if x is not None]
-    picks = st.integers(0, len(pool) - 1)
-    rows = draw(
-        st.lists(st.tuples(surfaces, st.integers(1, 30), picks, picks, picks), max_size=25)
-    )
-    return _lexicon([(s, df, pool[i], pool[j], pool[k]) for s, df, i, j, k in rows])
+    """Words over a few profiles whose numbers come from a small pool, so rows repeat values."""
+    pool = st.sampled_from(draw(st.lists(numbers, min_size=1, max_size=6)))
+    profiles = draw(st.lists(st.tuples(st.integers(1, 30), pool, pool, pool), min_size=1, max_size=8))
+    words = draw(st.lists(st.tuples(surfaces, st.integers(0, len(profiles) - 1)), max_size=25))
+    filled = draw(st.sets(st.sampled_from(NUMBER_COLUMNS)))
+    return _lexicon(words, profiles, filled)
 
 
 ZERO, NEG_ZERO = 0.0, -0.0
@@ -56,23 +63,22 @@ ZERO, NEG_ZERO = 0.0, -0.0
 
 @settings(max_examples=400, deadline=None)
 @given(lexicons())
-@example(_lexicon([]))
+@example(_lexicon([], []))
+@example(_lexicon([("olma", 0), ("nok", 1), ("olma", 0)], [(2, 1.5, 0.5, 0.25), (1, 0.0, 0.0, 0.0)], ()))
 @example(
     _lexicon(
+        [(",", 0), ('"', 1), ("\n", 0), ("\r", 2), ("", 3), ('a"b,c\r\nd', 4), ("olma", 1)],
         [
-            (",", 1, ZERO, ZERO, ZERO),
-            ('"', 2, NEG_ZERO, NEG_ZERO, NEG_ZERO),  # equal to the row above, printed differently
-            ("\n", 1, ZERO, ZERO, ZERO),
-            ("\r", 3, None, math.nan, math.inf),
-            ("", 1, ZERO, NEG_ZERO, None),
-            ('a"b,c\r\nd', 2, 5e-324, float.fromhex((5e-324).hex()), 1.0),
-        ]
+            (1, ZERO, ZERO, ZERO),
+            (2, NEG_ZERO, NEG_ZERO, NEG_ZERO),  # equal to the row above, printed differently
+            (3, math.inf, math.nan, -math.inf),
+            (1, ZERO, NEG_ZERO, 5e-324),
+            (2, 5e-324, float.fromhex((5e-324).hex()), 1.0),
+        ],
     )
 )
 def test_words_csv_matches_csv_writer(lexicon):
     if CSV_QUOTES_LONE_CR:
-        lexicon = Lexicon(
-            tuple(e._replace(surface=e.surface.replace("\r", "")) for e in lexicon.entries),
-            lexicon.doc_count,
-        )
+        surfaces = tuple(surface.replace("\r", "") for surface in lexicon.surfaces)
+        lexicon = replace(lexicon, surfaces=surfaces)
     assert words_csv(lexicon) == csv_oracle.words_csv(lexicon)
