@@ -19,7 +19,15 @@ from .errors import (
     EmptyCorpus,
     StoplexError,
 )
-from .report import ORDER_MODES, XBAR_MODES, AnalysisReport, RunConfig, format_percent, run_pipeline
+from .report import (
+    ORDER_MODES,
+    XBAR_MODES,
+    AnalysisReport,
+    RunConfig,
+    _output_names,
+    format_percent,
+    run_pipeline,
+)
 from .weighting import AveragingMode
 
 
@@ -72,11 +80,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         order=args.order,
     )
     report = run_pipeline(config)
-    _print_summary(report, Path(args.out))
+    _print_summary(report)
     return 0
 
 
-def _print_summary(report: AnalysisReport, out_dir: Path) -> None:
+def _print_summary(report: AnalysisReport) -> None:
     m = report.moments
     cov = report.coverage
     zt = report.z_test
@@ -100,10 +108,8 @@ def _print_summary(report: AnalysisReport, out_dir: Path) -> None:
         f"is {zt.xbar_side.value}) -> {zt.decision.value}"
     )
     print(f"location verdict: {report.verdict.location.value}")
-    names = ["stopwords.txt", "report.json", "words.csv"]
-    if report.config.plots:
-        names += ["density.svg", "sorted.svg"]
-    print("wrote: " + ", ".join(str(out_dir / n) for n in names))
+    out_dir = Path(report.config.output_dir)
+    print("wrote: " + ", ".join(str(out_dir / name) for name in _output_names(report.config)))
 
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:

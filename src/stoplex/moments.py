@@ -41,10 +41,6 @@ class IndexDistribution:
     def size(self) -> int:
         return len(self.probabilities)
 
-    @property
-    def points(self) -> tuple[tuple[int, float], ...]:
-        return tuple(enumerate(self.probabilities, start=1))
-
 
 @dataclass(frozen=True)
 class MomentSummary:

@@ -14,7 +14,6 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -202,21 +201,17 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_number(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def words_csv(lexicon: Lexicon) -> str:
     """CSV word table in first_index order; floats use repr round-tripping.
 
     The doc_frequency, idf, weight and probability fields depend only on
     the word's count profile, so their text is rendered once per profile.
-    A number column the lexicon has not filled yet prints empty fields.
+    Raises DomainError unless the idf, weight and probability columns are filled.
     """
     numbers = [
-        f"{len(counts)},{_csv_number(idf)},{_csv_number(weight)},{_csv_number(probability)}\n"
-        for counts, idf, weight, probability in zip_longest(
-            lexicon.doc_counts, lexicon.idf, lexicon.weight, lexicon.probability
+        f"{len(counts)},{idf!r},{weight!r},{probability!r}\n"
+        for counts, idf, weight, probability in zip(
+            lexicon.doc_counts, *map(lexicon.column, ("idf", "weight", "probability"))
         )
     ]
     rows = ["word,first_index,doc_frequency,idf,weight,probability\n"]
@@ -275,19 +270,22 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         config=config,
     )
 
-    outputs = [
-        ("stopwords.txt", lambda: export_list(stopwords)),
-        ("report.json", report.to_json),
-        ("words.csv", lambda: words_csv(lexicon)),
-    ]
-    if config.plots:
-        outputs += [
-            ("density.svg", lambda: emit_density_plot(dist, stopwords, summary)),
-            ("sorted.svg", lambda: emit_sorted_plot(lexicon, stopwords)),
-        ]
+    renderers = {
+        "stopwords.txt": lambda: export_list(stopwords),
+        "report.json": report.to_json,
+        "words.csv": lambda: words_csv(lexicon),
+        "density.svg": lambda: emit_density_plot(dist, stopwords, summary),
+        "sorted.svg": lambda: emit_sorted_plot(lexicon, stopwords),
+    }
     with _stage("write_outputs"):
-        _write_all(Path(config.output_dir), outputs)
+        _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])
     return report
+
+
+def _output_names(config: RunConfig) -> tuple[str, ...]:
+    """The files a run with this config writes, in writing order."""
+    names = ("stopwords.txt", "report.json", "words.csv")
+    return names + ("density.svg", "sorted.svg") if config.plots else names
 
 
 def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], str]]]) -> None:

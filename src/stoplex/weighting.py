@@ -5,9 +5,11 @@ containing the word. A word's weight is its average per-document tf*idf;
 by default the average runs over all n documents, with absent documents
 contributing zero. Probabilities are weights normalized to sum to one.
 
-All reductions go through math.fsum in first_index order, which keeps the
-probability normalization error within 1e-12 and makes results
-independent of any evaluation schedule.
+Every sum goes through math.fsum. A weight is summed once per count
+profile, over its counts in document order; the normalizing total runs
+over every word's weight in first_index order. That keeps the probability
+normalization error within 1e-12 and makes results independent of any
+evaluation schedule.
 """
 
 from __future__ import annotations

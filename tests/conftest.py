@@ -1,3 +1,4 @@
+import string
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
@@ -25,6 +26,32 @@ def toy_corpus():
 @pytest.fixture
 def toy_lexicon(toy_corpus):
     return build_lexicon(toy_corpus)
+
+
+def letter_code(number: int) -> str:
+    """A distinct lowercase a-z string per number (digits would split tokens)."""
+    code = ""
+    while True:
+        number, digit = divmod(number, 26)
+        code += string.ascii_lowercase[digit]
+        if number == 0:
+            return code
+
+
+def eight_profile_corpus(n_words: int):
+    """``n_words`` words in 4 documents over 8 count profiles.
+
+    Word j occurs j % 3 + 1 times in document j % 4, and odd words once more
+    in the next document.
+    """
+    n_docs = 4
+    documents = [[] for _ in range(n_docs)]
+    for j in range(n_words):
+        word = letter_code(j)
+        documents[j % n_docs] += [word] * (j % 3 + 1)
+        if j % 2:
+            documents[(j + 1) % n_docs].append(word)
+    return load_corpus((f"d{d}", " ".join(words)) for d, words in enumerate(documents))
 
 
 def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:

@@ -144,8 +144,8 @@ def test_criterion_6_randomized_property_suite(criterion):
             assert abs(s.dispersion - (s.raw_moment_2 - s.raw_moment_1**2)) <= 1e-9 * max(
                 1.0, s.raw_moment_2
             )
-            direct = math.fsum(q * (i - s.expectation) ** 3 for i, q in dist.points)
-            magnitude = math.fsum(q * abs(i - s.expectation) ** 3 for i, q in dist.points)
+            direct = math.fsum(q * (i - s.expectation) ** 3 for i, q in enumerate(dist.probabilities, start=1))
+            magnitude = math.fsum(q * abs(i - s.expectation) ** 3 for i, q in enumerate(dist.probabilities, start=1))
             assert abs(s.third_central_moment - direct) <= 1e-9 * max(
                 1.0, abs(direct), magnitude
             )

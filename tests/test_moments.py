@@ -27,7 +27,7 @@ def toy_distribution():
 def test_density_copies_probabilities(toy_lexicon):
     lexicon = probabilities(apply_weights(toy_lexicon))
     dist = density(lexicon)
-    assert dist.points == ((1, 0.375), (2, 0.25), (3, 0.375))
+    assert tuple(enumerate(dist.probabilities, start=1)) == ((1, 0.375), (2, 0.25), (3, 0.375))
     assert dist.size == lexicon.size
 
 
@@ -39,7 +39,7 @@ def test_density_requires_probabilities(toy_lexicon):
 def test_single_point_density():
     corpus = load_corpus([("d1", "olma"), ("d2", "")])
     dist = density(probabilities(apply_weights(build_lexicon(corpus))))
-    assert dist.points == ((1, 1.0),)
+    assert tuple(enumerate(dist.probabilities, start=1)) == ((1, 1.0),)
 
 
 def test_distribution_validation():

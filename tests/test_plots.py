@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import stoplex.plots
@@ -16,7 +17,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, make_lexicon, stopword_set
+from conftest import TOY_SOURCES, eight_profile_corpus, make_lexicon, stopword_set
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -105,6 +106,23 @@ def test_both_plots_small_at_100k_words(monkeypatch):
         ]
         assert len(pixels) == len(set(pixels))
         assert {cls for cls, _, _ in pixels} == {"word", "stopword"}
+
+
+def test_density_plot_memory_is_far_below_one_point_per_word():
+    n_words = 100_000
+    lexicon = probabilities(apply_weights(build_lexicon(eight_profile_corpus(n_words))))
+    dist = density(lexicon)
+    summary = moment_summary(dist)
+    selected = select_candidates(lexicon, 0.05)
+    tracemalloc.start()
+    try:
+        emit_density_plot(dist, selected, summary)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # measured: about 14 bytes per word, mostly the rendered text; an
+    # (index, probability) tuple per word alone would cost over 60
+    assert peak / n_words < 32
 
 
 def test_sorted_plot_structure():

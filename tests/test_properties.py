@@ -139,8 +139,8 @@ def test_dispersion_matches_raw_moment_identity(values):
 def test_third_central_moment_matches_direct_sum(values):
     dist = normalized(values)
     s = moment_summary(dist)
-    direct = math.fsum(p * (i - s.expectation) ** 3 for i, p in dist.points)
-    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in dist.points)
+    direct = math.fsum(p * (i - s.expectation) ** 3 for i, p in enumerate(dist.probabilities, start=1))
+    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in enumerate(dist.probabilities, start=1))
     assert abs(s.third_central_moment - direct) <= 1e-9 * max(1.0, abs(direct), magnitude)
 
 
@@ -149,7 +149,7 @@ def test_symmetric_distribution_has_zero_skew(values, odd_center):
     mirror = list(values) + ([0.5] if odd_center else []) + list(reversed(values))
     dist = normalized(mirror)
     s = moment_summary(dist)
-    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in dist.points)
+    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in enumerate(dist.probabilities, start=1))
     assert abs(s.third_central_moment) <= 1e-9 * max(1.0, magnitude)
     assert abs(s.asymmetry) <= 1e-9
 
@@ -160,7 +160,7 @@ def test_mirrored_distribution_negates_skew(values):
     mirrored = IndexDistribution(tuple(reversed(dist.probabilities)))
     s = moment_summary(dist)
     m = moment_summary(mirrored)
-    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in dist.points)
+    magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in enumerate(dist.probabilities, start=1))
     assert abs(s.third_central_moment + m.third_central_moment) <= 1e-9 * max(1.0, magnitude)
     assert m.asymmetry == pytest.approx(-s.asymmetry, rel=1e-9, abs=1e-9)
     assert m.std_dev == pytest.approx(s.std_dev, rel=1e-12)
@@ -171,7 +171,7 @@ def test_asymmetry_translation_invariant(values, shift):
     dist = normalized(values)
     s = moment_summary(dist)
     # brute-force recomputation on the shifted support
-    xs = [i + shift for i, _ in dist.points]
+    xs = [i + shift for i, _ in enumerate(dist.probabilities, start=1)]
     ps = dist.probabilities
     e = math.fsum(p * x for x, p in zip(xs, ps))
     var = math.fsum(p * (x - e) ** 2 for x, p in zip(xs, ps))

@@ -155,6 +155,7 @@ def test_cli_empty_dir_exit_2(tmp_path, capsys):
     code = main(["analyze", str(empty), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "load_corpus" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_input_exit_2(tmp_path, capsys):
@@ -213,6 +214,7 @@ def test_cli_degenerate_exit_3(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "probabilities" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_bad_utf8_exit_2(tmp_path, capsys):

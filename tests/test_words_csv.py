@@ -4,23 +4,20 @@ import math
 from array import array
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
-from stoplex import Lexicon, words_csv
+from stoplex import DomainError, Lexicon, words_csv
 
 NUMBER_COLUMNS = ("idf", "weight", "probability")
 
 
-def _lexicon(words, profiles, filled=NUMBER_COLUMNS) -> Lexicon:
-    """Words as (surface, profile id) over (doc_frequency, idf, weight, probability) rows.
-
-    Only the number columns named in ``filled`` are set; the rest stay empty.
-    """
+def _lexicon(words, profiles) -> Lexicon:
+    """Words as (surface, profile id) over (doc_frequency, idf, weight, probability) rows."""
     doc_counts = tuple((1,) * df for df, *_ in profiles)
     columns = {
-        name: tuple(row[column] for row in profiles) if name in filled else ()
-        for column, name in enumerate(NUMBER_COLUMNS, start=1)
+        name: tuple(row[column] for row in profiles) for column, name in enumerate(NUMBER_COLUMNS, start=1)
     }
     return Lexicon(
         surfaces=tuple(surface for surface, _ in words),
@@ -54,8 +51,7 @@ def lexicons(draw) -> Lexicon:
     pool = st.sampled_from(draw(st.lists(numbers, min_size=1, max_size=6)))
     profiles = draw(st.lists(st.tuples(st.integers(1, 30), pool, pool, pool), min_size=1, max_size=8))
     words = draw(st.lists(st.tuples(surfaces, st.integers(0, len(profiles) - 1)), max_size=25))
-    filled = draw(st.sets(st.sampled_from(NUMBER_COLUMNS)))
-    return _lexicon(words, profiles, filled)
+    return _lexicon(words, profiles)
 
 
 ZERO, NEG_ZERO = 0.0, -0.0
@@ -64,7 +60,6 @@ ZERO, NEG_ZERO = 0.0, -0.0
 @settings(max_examples=400, deadline=None)
 @given(lexicons())
 @example(_lexicon([], []))
-@example(_lexicon([("olma", 0), ("nok", 1), ("olma", 0)], [(2, 1.5, 0.5, 0.25), (1, 0.0, 0.0, 0.0)], ()))
 @example(
     _lexicon(
         [(",", 0), ('"', 1), ("\n", 0), ("\r", 2), ("", 3), ('a"b,c\r\nd', 4), ("olma", 1)],
@@ -82,3 +77,10 @@ def test_words_csv_matches_csv_writer(lexicon):
         surfaces = tuple(surface.replace("\r", "") for surface in lexicon.surfaces)
         lexicon = replace(lexicon, surfaces=surfaces)
     assert words_csv(lexicon) == csv_oracle.words_csv(lexicon)
+
+
+@pytest.mark.parametrize("column", NUMBER_COLUMNS)
+def test_words_csv_requires_every_number_column(column):
+    lexicon = _lexicon([("olma", 0), ("nok", 1), ("olma", 0)], [(2, 1.5, 0.5, 0.25), (1, 0.0, 0.0, 0.0)])
+    with pytest.raises(DomainError, match=column):
+        words_csv(replace(lexicon, **{column: ()}))
