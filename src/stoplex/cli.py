@@ -1,17 +1,20 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 input errors (missing/empty/undecodable input),
-3 degenerate corpora (no tf-idf signal or zero variance), 1 anything else.
+Exit codes: 0 success; 2 bad option values, input that is missing,
+unreadable, undecodable or empty, or an output directory that cannot be
+made; 3 degenerate corpora (no tf-idf signal or zero variance); 1 any other
+stoplex error, such as a renderer failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from ._version import __version__
-from .corpus import tokenize
+from .corpus import ORDER_MODES, _decode, tokenize
 from .errors import (
     AllZeroWeights,
     DecodeError,
@@ -20,7 +23,6 @@ from .errors import (
     StoplexError,
 )
 from .report import (
-    ORDER_MODES,
     XBAR_MODES,
     AnalysisReport,
     RunConfig,
@@ -39,25 +41,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each analyze option's dest is the RunConfig field it sets; the defaults are RunConfig's.
     analyze = sub.add_parser("analyze", help="run the full analysis on files or directories")
     analyze.add_argument("inputs", nargs="+", help="text files and/or directories of text files")
-    analyze.add_argument("--fraction", default="0.05", help="selection fraction in (0,1), default 0.05")
+    analyze.add_argument("--fraction", help="selection fraction in (0,1), default %(default)s")
     analyze.add_argument(
-        "--averaging", choices=[m.value for m in AveragingMode], default="all",
+        "--averaging", choices=[m.value for m in AveragingMode],
         help="average tf-idf over all documents or only containing ones",
     )
     analyze.add_argument(
-        "--xbar", choices=XBAR_MODES, default="midpoint",
+        "--xbar", dest="xbar_mode", choices=XBAR_MODES,
         help="sample mean for the Z test: index-range midpoint or candidate mean",
     )
-    analyze.add_argument("--zcrit", type=float, default=1.96, help="critical Z value, default 1.96")
-    analyze.add_argument("--out", default=".", help="output directory, default current")
+    analyze.add_argument(
+        "--zcrit", dest="z_critical", metavar="ZCRIT", type=float, help="critical Z value, default %(default)s"
+    )
+    analyze.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory, default current")
     analyze.add_argument("--plots", action="store_true", help="also write density.svg and sorted.svg")
     analyze.add_argument(
-        "--order", choices=ORDER_MODES, default="list",
-        help="document order: as given, or re-sorted by file name",
+        "--order", choices=ORDER_MODES, help="document order: as given, or re-sorted by file name"
     )
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(
+        func=_cmd_analyze, **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    )
 
     tok = sub.add_parser("tokenize", help="print the tokens of one file, one per line")
     tok.add_argument("file")
@@ -69,17 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = RunConfig(
-        inputs=tuple(args.inputs),
-        fraction=args.fraction,
-        averaging=args.averaging,
-        xbar_mode=args.xbar,
-        z_critical=args.zcrit,
-        output_dir=args.out,
-        plots=args.plots,
-        order=args.order,
-    )
-    report = run_pipeline(config)
+    report = run_pipeline(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
     _print_summary(report)
     return 0
 
@@ -114,11 +110,7 @@ def _print_summary(report: AnalysisReport) -> None:
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DecodeError(path.stem, str(exc)) from exc
-    for token in tokenize(text):
+    for token in tokenize(_decode(path.stem, path.read_bytes())):
         print(token)
     return 0
 
@@ -129,29 +121,20 @@ def _cmd_version(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EmptyCorpus, DecodeError, FileNotFoundError, IsADirectoryError) as exc:
-        _fail(exc)
-        return 2
+    except (EmptyCorpus, DecodeError, OSError, ValueError) as exc:  # bad input, output or option value
+        return _fail(exc, 2)
     except (AllZeroWeights, DegenerateDistribution) as exc:
-        _fail(exc)
-        return 3
-    except (OSError, ValueError) as exc:  # unreadable input or bad option values
-        _fail(exc)
-        return 2
+        return _fail(exc, 3)
     except StoplexError as exc:
-        _fail(exc)
-        return 1
+        return _fail(exc, 1)
 
 
-def _fail(exc: Exception) -> None:
+def _fail(exc: Exception, code: int) -> int:
+    """Print ``exc`` to stderr, prefixed with its stage when it has one, and return ``code``."""
     stage = getattr(exc, "stage", None)
     prefix = f"stoplex: [{stage}] " if stage else "stoplex: "
     print(f"{prefix}{exc}", file=sys.stderr)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return code

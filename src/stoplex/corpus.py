@@ -25,6 +25,9 @@ from .errors import DecodeError, DomainError, EmptyCorpus
 #: Canonical word-internal apostrophe (MODIFIER LETTER TURNED COMMA).
 CANONICAL_APOSTROPHE = "ʻ"
 
+#: Document orders collect_input_files accepts: as given, or re-sorted by file name.
+ORDER_MODES = ("list", "lexicographic")
+
 # The apostrophe variants tokenize rewrites to the canonical one before
 # matching, once per text, so the pattern only has to know U+02BB.
 _VARIANT_APOSTROPHES = "'’ʼ`"
@@ -178,12 +181,7 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     postings: dict[str, list[int]] = {}
     doc_count = token_total = 0
     for name, blob in sources:
-        if isinstance(blob, bytes):
-            try:
-                blob = blob.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(name, str(exc)) from exc
-        tokens = tokenize(blob)
+        tokens = tokenize(_decode(name, blob) if isinstance(blob, bytes) else blob)
         for token, count in Counter(tokens).items():
             counts = postings.get(token)
             if counts is None:
@@ -197,6 +195,14 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     return Corpus(postings, doc_count, token_total)
 
 
+def _decode(name: str, blob: bytes) -> str:
+    """``blob`` as UTF-8 text; raises DecodeError naming ``name`` if it is not UTF-8."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(name, str(exc)) from exc
+
+
 def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> list[Path]:
     """Expand a mix of files and directories into an ordered file list.
 
@@ -204,7 +210,7 @@ def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> li
     lexicographic name order. With order="list" the given argument order is
     kept; order="lexicographic" re-sorts the whole collection by file name.
     """
-    if order not in ("list", "lexicographic"):
+    if order not in ORDER_MODES:
         raise DomainError(f"unknown document order {order!r}")
     files: list[Path] = []
     for item in inputs:

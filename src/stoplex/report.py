@@ -14,12 +14,13 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 from ._version import __version__
-from .corpus import Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
-from .errors import NonFinite, StoplexError
+from .corpus import ORDER_MODES, Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
+from .errors import DomainError, NonFinite, StoplexError
 from .moments import MomentSummary, density, moment_summary
 from .plots import emit_density_plot, emit_sorted_plot
 from .position import (
@@ -34,15 +35,18 @@ from .selection import StopwordSet, _as_fraction, export_list, select_candidates
 from .weighting import AveragingMode, apply_weights, probabilities
 
 XBAR_MODES = ("midpoint", "candidates")
-ORDER_MODES = ("list", "lexicographic")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one analysis run depends on."""
+    """Everything one analysis run depends on; the CLI's options and defaults are these fields.
+
+    A bad value raises ValueError. ``fraction`` is kept as the exact Fraction
+    of the decimal given (0.05 and "0.05" give 1/20).
+    """
 
     inputs: tuple[str, ...]
-    fraction: float | str = 0.05
+    fraction: Fraction | float | str = 0.05
     averaging: AveragingMode | str = AveragingMode.ALL_DOCS
     xbar_mode: str = "midpoint"
     z_critical: float = 1.96
@@ -53,20 +57,20 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(str(p) for p in self.inputs))
         object.__setattr__(self, "averaging", AveragingMode(self.averaging))
-        frac = _as_fraction(self.fraction)
+        try:
+            frac = _as_fraction(self.fraction)
+        except DomainError as exc:
+            raise ValueError(str(exc)) from None
         # the report echoes float(frac), so that value must lie in (0, 1) too
         if not (0 < frac < 1 and 0.0 < float(frac) < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction!r}")
+        object.__setattr__(self, "fraction", frac)
         if not (self.z_critical > 0 and math.isfinite(self.z_critical)):
             raise ValueError(f"z_critical must be finite and > 0, got {self.z_critical!r}")
         if self.xbar_mode not in XBAR_MODES:
             raise ValueError(f"xbar_mode must be one of {XBAR_MODES}, got {self.xbar_mode!r}")
         if self.order not in ORDER_MODES:
             raise ValueError(f"order must be one of {ORDER_MODES}, got {self.order!r}")
-
-    @property
-    def fraction_value(self) -> float:
-        return float(_as_fraction(self.fraction))
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class AnalysisReport:
             },
             "config": {
                 "inputs": list(self.config.inputs),
-                "fraction": self.config.fraction_value,
+                "fraction": float(self.config.fraction),
                 "averaging": self.config.averaging.value,
                 "xbar_mode": self.config.xbar_mode,
                 "z_critical": self.config.z_critical,

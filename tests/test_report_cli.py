@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ import stoplex.report
 from stoplex import (
     AllZeroWeights,
     EmptyCorpus,
+    NonFinite,
     RunConfig,
     StoplexError,
     run_pipeline,
@@ -118,6 +121,21 @@ def test_config_validation(tmp_path):
         toy_config(tmp_path, xbar_mode="median")
     with pytest.raises(ValueError):
         toy_config(tmp_path, order="random")
+    with pytest.raises(ValueError):
+        toy_config(tmp_path, fraction=None)
+
+
+def test_config_parses_the_fraction_once(tmp_path):
+    configs = [toy_config(tmp_path, fraction=f) for f in ("0.05", 0.05, Fraction(1, 20))]
+    assert configs[0] == configs[1] == configs[2]
+    assert configs[0].fraction == Fraction(1, 20)
+
+
+def test_report_rejects_a_non_finite_value_by_its_dotted_key(tmp_path):
+    report = run_pipeline(toy_config(tmp_path))
+    broken = dataclasses.replace(report, z_test=dataclasses.replace(report.z_test, z=float("nan")))
+    with pytest.raises(NonFinite, match=r"report\.z_test\.z is nan"):
+        broken.to_dict()
 
 
 def test_xbar_modes(tmp_path):
@@ -147,6 +165,12 @@ def test_cli_analyze_success(tmp_path, capsys):
     assert "%" in out
     for name in ("stopwords.txt", "report.json", "words.csv", "density.svg", "sorted.svg"):
         assert (tmp_path / name).exists()
+
+
+def test_cli_defaults_are_run_config_defaults(tmp_path):
+    assert main(["analyze", str(TOY_DIR), "--out", str(tmp_path / "cli")]) == 0
+    run_pipeline(RunConfig(inputs=(str(TOY_DIR),), output_dir=tmp_path / "lib"))
+    assert (tmp_path / "cli" / "report.json").read_bytes() == (tmp_path / "lib" / "report.json").read_bytes()
 
 
 def test_cli_empty_dir_exit_2(tmp_path, capsys):
@@ -230,6 +254,15 @@ def test_cli_tokenize(tmp_path, capsys):
     source.write_text("O’zbek tili!", encoding="utf-8")
     assert main(["tokenize", str(source)]) == 0
     assert capsys.readouterr().out == "oʻzbek\ntili\n"
+
+
+def test_cli_tokenize_bad_utf8_exit_2(tmp_path, capsys):
+    bad = tmp_path / "broken.txt"
+    bad.write_bytes(b"ol\xffma")
+    assert main(["tokenize", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("stoplex: broken: not valid UTF-8")
 
 
 def test_cli_version(capsys):

@@ -32,7 +32,7 @@ def test_count_rule_is_ceiling():
 
 
 def test_fraction_domain():
-    for bad in (0, 1, 1.5, -0.1, "0", "1"):
+    for bad in (0, 1, 1.5, -0.1, "0", "1", None):
         with pytest.raises(DomainError):
             candidate_count(10, bad)
     with pytest.raises(DomainError):
