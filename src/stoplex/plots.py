@@ -7,9 +7,10 @@ the same data are byte-identical.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain, islice, repeat
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import Lexicon
 from .moments import IndexDistribution, MomentSummary
@@ -46,6 +47,32 @@ class _Frame:
         return min(max(v, self.x_lo), self.x_hi)
 
 
+def _frame(n: int, y_max: float) -> _Frame:
+    """The frame for x in 1..n; y runs from 0 to 5% above ``y_max``, or to 1 when it is 0."""
+    return _Frame(0.5, n + 0.5, 0.0, y_max * 1.05 if y_max > 0 else 1.0)
+
+
+def _columns(frame: _Frame, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """Ranges (first, end) that split x in start..stop-1, in order, each inside one pixel column.
+
+    round(frame.x(i)) never decreases as i grows: each float step in
+    _Frame.x (subtracting, dividing and multiplying by positive numbers,
+    adding) is monotone, and so is round. So each column's x values are
+    contiguous, and bisect finds where a column ends. It looks at most one
+    column's width ahead (a wider column is split), so a range costs about
+    log2 of that width calls of frame.x, not one per value.
+    """
+    width = int((frame.x_hi - frame.x_lo) / (frame.px_hi - frame.px_lo)) + 2
+
+    def column(i: int) -> int:
+        return round(frame.x(i))
+
+    while start < stop:
+        end = bisect_right(range(stop), column(start), start + 1, min(stop, start + width), key=column)
+        yield start, end
+        start = end
+
+
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -78,17 +105,15 @@ def _circles(
 
 
 def _scatter(
-    title: str, x_label: str, n: int, y_max: float,
+    title: str, x_label: str, frame: _Frame,
     words: Iterable[tuple[float, float]], stopwords: Iterable[tuple[float, float]], stopword_radius: int,
     markers: Iterable[tuple[str, float, str]],
 ) -> str:
-    """Probability against x in 1..n: word points, stopword points on top, then markers.
+    """Probability against x in ``frame``: word points, stopword points on top, then markers.
 
-    The y-axis runs from 0 to 5% above ``y_max``, or to 1 when ``y_max`` is
-    0. Each (class, x, label) marker is a dashed vertical line at x, clamped
+    Each (class, x, label) marker is a dashed vertical line at x, clamped
     into the x range, with its label above the plot.
     """
-    frame = _Frame(0.5, n + 0.5, 0.0, y_max * 1.05 if y_max > 0 else 1.0)
     x0, x1 = frame.px_lo, frame.px_hi
     y0, y1 = frame.py_lo, frame.py_hi
     mid_x = (x0 + x1) / 2
@@ -131,6 +156,27 @@ def _scatter(
     return "\n".join(parts)
 
 
+def _first_of_each_value(
+    frame: _Frame, probs: Sequence[float], skip: Sequence[int]
+) -> Iterator[tuple[int, float]]:
+    """(index, probability) of the first index of each distinct probability in each pixel column.
+
+    Indices are 1-based and ascend; the indices in ``skip`` (ascending) are
+    left out. These are all the points _circles could draw of the indices
+    1..N, since a later point of a column with an earlier one's probability
+    falls on its pixel.
+    """
+    for first, end in _columns(frame, 1, len(probs) + 1):
+        column = list(probs[first - 1:end - 1])
+        for i in skip[bisect_left(skip, first):bisect_left(skip, end)]:
+            column[i - first] = None
+        at = 0
+        for value in dict.fromkeys(column):
+            if value is not None:
+                at = column.index(value, at)
+                yield first + at, value
+
+
 def emit_density_plot(
     dist: IndexDistribution,
     candidates: StopwordSet,
@@ -140,14 +186,15 @@ def emit_density_plot(
 
     Candidate points are drawn on top in a second color; dashed reference
     lines sit at E - sigma, E and E + sigma (clamped into the index range).
+    The word points are walked per pixel column and distinct probability,
+    not per index; the candidates one by one.
     """
     probs = dist.probabilities
-    candidate_indices = {e.first_index for e in candidates.candidates}
+    frame = _frame(dist.size, max(probs))
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
-        "probability of unique words by first-appearance index", "first-appearance index",
-        dist.size, max(probs),
-        ((i, p) for i, p in enumerate(probs, start=1) if i not in candidate_indices),
+        "probability of unique words by first-appearance index", "first-appearance index", frame,
+        _first_of_each_value(frame, probs, sorted(e.first_index for e in candidates.candidates)),
         ((e.first_index, probs[e.first_index - 1]) for e in candidates.candidates), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),
     )
@@ -158,19 +205,29 @@ def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
 
     The cutoff line sits after rank N - k, separating the kept words from
     the k candidates at the low end of the curve. The curve is drawn from
-    the count profiles' probabilities, each repeated once per word.
+    the count profiles: each profile's words hold a run of ranks at one
+    probability, and each run is drawn at its first rank in each pixel column.
     """
-    words = Counter(lexicon.profile_ids)
-    profiles = sorted(
-        ((value, words[pid]) for pid, value in enumerate(lexicon.column("probability"))),
-        reverse=True,
+    probability = lexicon.column("probability")
+    runs = sorted(
+        ((probability[pid], count) for pid, count in Counter(lexicon.profile_ids).items()), reverse=True
     )
+    values, counts = zip(*runs) if runs else ((), ())
+    starts = list(accumulate(counts, initial=1))  # each run's first rank
     n, k = lexicon.size, candidates.count
-    probs = chain.from_iterable(repeat(value, count) for value, count in profiles)
-    ranked = enumerate(probs, start=1)  # ranks up to N - k are kept words, the rest candidates
+    frame = _frame(n, max(probability, default=0.0))
+
+    def ranked(lo: int, hi: int) -> Iterator[tuple[int, float]]:
+        """(rank, probability) at the first rank of each run in each pixel column of ranks lo..hi-1."""
+        for first, end in _columns(frame, lo, hi):
+            r = bisect_right(starts, first) - 1  # the run holding rank first
+            after = bisect_left(starts, end, r + 1)
+            yield first, values[r]
+            yield from zip(starts[r + 1:after], values[r + 1:after])
+
+    cut = max(n - k, 0) + 1  # ranks below the cut are kept words, the rest candidates
     return _scatter(
-        "unique words sorted by probability", "rank (descending probability)",
-        n, profiles[0][0] if profiles else 0.0,
-        islice(ranked, max(n - k, 0)), ranked, 2,
+        "unique words sorted by probability", "rank (descending probability)", frame,
+        ranked(1, cut), ranked(cut, n + 1), 2,
         (("cutoff", n - k + 0.5, f"cutoff (rank {n - k})"),),
     )

@@ -15,6 +15,7 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 from typing import Callable
 
@@ -55,6 +56,8 @@ class RunConfig:
     order: str = "list"
 
     def __post_init__(self):
+        if isinstance(self.inputs, (str, bytes)):
+            raise ValueError(f"inputs must be a sequence of paths, not one path: {self.inputs!r}")
         object.__setattr__(self, "inputs", tuple(str(p) for p in self.inputs))
         object.__setattr__(self, "averaging", AveragingMode(self.averaging))
         try:
@@ -65,8 +68,11 @@ class RunConfig:
         if not (0 < frac < 1 and 0.0 < float(frac) < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction!r}")
         object.__setattr__(self, "fraction", frac)
-        if not (self.z_critical > 0 and math.isfinite(self.z_critical)):
-            raise ValueError(f"z_critical must be finite and > 0, got {self.z_critical!r}")
+        z = self.z_critical
+        if isinstance(z, bool) or not isinstance(z, Real) or not (z > 0 and math.isfinite(z)):
+            raise ValueError(f"z_critical must be a finite real number > 0, got {z!r}")
+        if not isinstance(self.plots, bool):
+            raise ValueError(f"plots must be True or False, got {self.plots!r}")
         if self.xbar_mode not in XBAR_MODES:
             raise ValueError(f"xbar_mode must be one of {XBAR_MODES}, got {self.xbar_mode!r}")
         if self.order not in ORDER_MODES:

@@ -2,10 +2,16 @@ import random
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from array import array
 
+from hypothesis import assume, given, settings, strategies as st
+
+import plot_oracle
 import stoplex.plots
 from stoplex import (
     IndexDistribution,
+    Lexicon,
+    MomentSummary,
     apply_weights,
     build_lexicon,
     density,
@@ -17,7 +23,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, eight_profile_corpus, make_lexicon, stopword_set
+from conftest import TOY_SOURCES, eight_profile_corpus, letter_code, make_lexicon, stopword_set
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -120,9 +126,29 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # measured: about 14 bytes per word, mostly the rendered text; an
+    # measured: about 9 bytes per word, mostly the rendered text; an
     # (index, probability) tuple per word alone would cost over 60
     assert peak / n_words < 32
+
+
+def test_plots_map_far_fewer_points_than_words(monkeypatch):
+    lexicon = probabilities(apply_weights(build_lexicon(eight_profile_corpus(100_000))))
+    dist = density(lexicon)
+    selected = select_candidates(lexicon, 0.05)
+    calls = 0
+    x = stoplex.plots._Frame.x
+
+    def counted(frame, value):
+        nonlocal calls
+        calls += 1
+        return x(frame, value)
+
+    monkeypatch.setattr(stoplex.plots._Frame, "x", counted)
+    emit_density_plot(dist, selected, moment_summary(dist))
+    emit_sorted_plot(lexicon, selected)
+    # measured: 19 470 calls, 5 000 of them for the candidates of the density
+    # plot, which are walked one by one; mapping every point costs 2N + 4
+    assert calls < lexicon.size // 4
 
 
 def test_sorted_plot_structure():
@@ -167,3 +193,107 @@ def test_plots_are_deterministic():
     lexicon, dist, summary, selected = toy_parts()
     assert emit_density_plot(dist, selected, summary) == emit_density_plot(dist, selected, summary)
     assert emit_sorted_plot(lexicon, selected) == emit_sorted_plot(lexicon, selected)
+
+
+# ---------------------------------------------------------------------------
+# the emitters against the per-point plots they replaced (tests/plot_oracle.py)
+
+
+def _profile_lexicon(weights, profile_ids) -> Lexicon:
+    """Words over count profiles of the given weights, with probabilities as the pipeline fills them."""
+    profiles = range(len(weights))
+    return probabilities(
+        Lexicon(
+            surfaces=tuple(map(letter_code, range(len(profile_ids)))),
+            profile_ids=array("I", profile_ids),
+            doc_counts=tuple((pid + 1,) for pid in profiles),
+            total_count=tuple(pid + 1 for pid in profiles),
+            doc_count=2,
+            idf=(1.0,) * len(weights),
+            weight=tuple(weights),
+        )
+    )
+
+
+@st.composite
+def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scattered", "nearly all"])):
+    """A lexicon of ``sizes`` words over profiles of ``weights``, and candidates for it.
+
+    Words come in stretches that share a profile, so a pixel column holds
+    repeated probabilities. Candidates are either selected, or hand-picked
+    anywhere in the index range, in random order; "nearly all" picks all
+    but at most three words.
+    """
+    n = draw(sizes)
+    profile_weights = draw(weights)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    stretch = draw(st.sampled_from([1, 5, 300]))
+    ids: list[int] = []
+    while len(ids) < n:
+        ids += [rng.randrange(len(profile_weights))] * rng.randint(1, stretch)
+    ids = ids[:n]
+    assume(any(profile_weights[pid] > 0 for pid in ids))
+    lexicon = _profile_lexicon(profile_weights, ids)
+    how = draw(candidates)
+    if how == "select":
+        selected = select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"])))
+    else:
+        k = rng.randint(0, n) if how == "scattered" else max(n - rng.randint(0, 3), 0)
+        selected = stopword_set(lexicon.row(pos) for pos in rng.sample(range(n), k))
+    return lexicon, selected
+
+
+# small weights, so distinct profiles often share a probability; -0.0 and
+# 0.0 are one dict key but two floats
+WEIGHTS = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=12)
+EQUAL_WEIGHTS = st.builds(lambda count, weight: [weight] * count, st.integers(1, 12), st.sampled_from([1.0, 3.0]))
+SIZES = st.integers(1, 20_000)
+
+
+def assert_plots_match_oracle(lexicon, selected):
+    dist = density(lexicon)
+    summary = MomentSummary((dist.size + 1) / 2, 0.0, dist.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert emit_density_plot(dist, selected, summary) == plot_oracle.emit_density_plot(dist, selected, summary)
+    assert emit_sorted_plot(lexicon, selected) == plot_oracle.emit_sorted_plot(lexicon, selected)
+
+
+def test_one_word_plots_match_oracle():
+    lexicon = _profile_lexicon([1.0], [0])
+    for selected in (select_candidates(lexicon, 0.05), stopword_set()):
+        assert_plots_match_oracle(lexicon, selected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plot_cases(SIZES, WEIGHTS))
+def test_plots_match_oracle(case):
+    assert_plots_match_oracle(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(plot_cases(st.integers(1, 700), WEIGHTS))
+def test_plots_match_oracle_below_one_index_per_column(case):
+    assert_plots_match_oracle(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plot_cases(SIZES, st.just([1.0])))
+def test_plots_match_oracle_on_equal_probabilities(case):
+    assert_plots_match_oracle(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plot_cases(SIZES, EQUAL_WEIGHTS))
+def test_plots_match_oracle_on_equal_probabilities_across_profiles(case):
+    assert_plots_match_oracle(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plot_cases(SIZES, WEIGHTS, st.just("scattered")))
+def test_plots_match_oracle_with_candidates_across_columns(case):
+    assert_plots_match_oracle(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(plot_cases(SIZES, WEIGHTS, st.just("nearly all")))
+def test_plots_match_oracle_with_nearly_every_word_a_candidate(case):
+    assert_plots_match_oracle(*case)

@@ -123,6 +123,15 @@ def test_config_validation(tmp_path):
         toy_config(tmp_path, order="random")
     with pytest.raises(ValueError):
         toy_config(tmp_path, fraction=None)
+    for inputs in (str(TOY_DIR), str(TOY_DIR).encode()):  # one path, not a sequence of them
+        with pytest.raises(ValueError):
+            toy_config(tmp_path, inputs=inputs)
+    for z_critical in ("1.96", True, None, complex(1.96)):
+        with pytest.raises(ValueError):
+            toy_config(tmp_path, z_critical=z_critical)
+    for plots in ("yes", 1, None):
+        with pytest.raises(ValueError):
+            toy_config(tmp_path, plots=plots)
 
 
 def test_config_parses_the_fraction_once(tmp_path):
