@@ -8,14 +8,19 @@ create spurious unique words. Text is NFC-normalized before scanning and
 tokens are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
 ½, Ⅻ and ², even where a word pattern matches them together with letters.
+An ASCII text (Uzbek Latin is often typed so, with ' or ` for oʻ/gʻ) takes
+a shorter path that gives the same tokens: it is lowercased whole and
+matched with an ASCII word pattern, since ASCII needs no NFC, its letters
+lowercase one by one and its only numerics are the digits.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import unicodedata
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -38,6 +43,9 @@ _VARIANT_APOSTROPHES = "'’ʼ`"
 # hide inside a letter run. (U+02BC is a letter too, but never reaches the
 # pattern.)
 _WORD = re.compile(r"[^\W\d_ʻ]+(?:ʻ[^\W\d_ʻ]+)*")
+# _WORD restricted to ASCII text, where [^\W\d_ʻ] is exactly [A-Za-z]; the
+# text is lowercased before matching, so [a-z] is enough.
+_ASCII_WORD = re.compile(r"[a-z]+(?:ʻ[a-z]+)*")
 
 
 def tokenize(text: str) -> list[str]:
@@ -54,8 +62,17 @@ def tokenize(text: str) -> list[str]:
     - Tokens are lowercased (and re-normalized, since lowercasing can
       denormalize in rare cases).
 
+    An ASCII text is lowercased whole and matched with an ASCII word
+    pattern instead, which gives the same tokens: it is already NFC, its
+    only apostrophe variants are ' and `, and ASCII lowercasing maps each
+    letter alone. Only the raw text decides the path, since NFC can turn a
+    non-ASCII character into one of those apostrophes (U+1FEF into `).
+
     Any input yields a (possibly empty) token list.
     """
+    if text.isascii():
+        text = text.lower().replace("'", CANONICAL_APOSTROPHE)
+        return _ASCII_WORD.findall(text.replace("`", CANONICAL_APOSTROPHE))
     text = unicodedata.normalize("NFC", text)
     for apostrophe in _VARIANT_APOSTROPHES:
         text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
@@ -242,8 +259,8 @@ def build_lexicon(corpus: Corpus) -> Lexicon:
     Profile ids number the distinct profiles in order of their first word.
     The number columns stay empty; the weighting step fills them.
     """
-    ids: dict[tuple[int, ...], int] = {}
-    profile_ids = array("I", [ids.setdefault(tuple(c), len(ids)) for c in corpus.postings.values()])
+    ids: defaultdict[tuple[int, ...], int] = defaultdict(itertools.count().__next__)
+    profile_ids = array("I", map(ids.__getitem__, map(tuple, corpus.postings.values())))
     doc_counts = tuple(ids)
     return Lexicon(
         tuple(corpus.postings), profile_ids, doc_counts, tuple(map(sum, doc_counts)), corpus.doc_count

@@ -1,11 +1,13 @@
 import re
 import sys
 import unicodedata
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scanner_oracle
+import stoplex.corpus
 from stoplex import CANONICAL_APOSTROPHE, tokenize
 
 APOSTROPHE_VARIANTS = ["'", "’", "ʼ", "`"]
@@ -109,6 +111,46 @@ texts = st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=4
 @example("İʼ²ʻß")
 def test_tokenize_matches_reference_scanner(text):
     assert tokenize(text) == scanner_oracle.tokenize(text)
+
+
+# The ASCII path: a text of code points below 128 is lowercased whole and
+# matched with an ASCII pattern. The suite above rarely draws such a text.
+ASCII_PIECES = ["'", "`", "''", "`'", "O'", "g`", "_", "7", "\x00", "\t"]
+ascii_texts = st.lists(
+    st.one_of(st.sampled_from(ASCII_PIECES), st.characters(max_codepoint=127)), max_size=40
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ascii_texts)
+@example("O'zbek g`oya, 42!")
+@example("'a''b'")
+@example("I'M")
+@example("a_b7c")
+def test_ascii_tokenize_matches_reference_scanner(text):
+    assert text.isascii()
+    assert tokenize(text) == scanner_oracle.tokenize(text)
+
+
+class NormalizeCalled(Exception):
+    pass
+
+
+def test_ascii_text_skips_normalization(monkeypatch):
+    def refuse(form, text):
+        raise NormalizeCalled(form)
+
+    # only the tokenizer's view of the module: pytest itself normalizes text
+    monkeypatch.setattr(stoplex.corpus, "unicodedata", SimpleNamespace(normalize=refuse))
+    assert tokenize("O'zbek G`OYA, 42!") == ["oʻzbek", "gʻoya"]
+    with pytest.raises(NormalizeCalled):
+        tokenize("O’zbek")
+
+
+def test_nfc_can_make_an_apostrophe_out_of_non_ascii_text():
+    # U+1FEF (GREEK VARIA) is not ASCII, but NFC turns it into U+0060
+    assert unicodedata.normalize("NFC", "\u1fef") == "`"
+    assert tokenize("a\u1fefb") == scanner_oracle.tokenize("a\u1fefb") == ["aʻb"]
 
 
 def test_tokenize_matches_reference_scanner_around_every_non_letter_numeric():
