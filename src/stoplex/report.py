@@ -15,9 +15,10 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from numbers import Real
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from ._version import __version__
 from .corpus import ORDER_MODES, Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
@@ -204,6 +205,11 @@ def sample_mean_for(config: RunConfig, lexicon_size: int, stopwords: StopwordSet
     return math.fsum(indices) / len(indices)
 
 
+# rows per words.csv chunk (~80 bytes each on Uzbek text): a run holds one
+# batch of rows, never the whole file, whose size grows with N
+_WORDS_CSV_BATCH = 4096
+
+
 def _csv_field(text: str) -> str:
     """A CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
     if "," in text or '"' in text or "\n" in text:
@@ -214,9 +220,19 @@ def _csv_field(text: str) -> str:
 def words_csv(lexicon: Lexicon) -> str:
     """CSV word table in first_index order; floats use repr round-tripping.
 
-    The doc_frequency, idf, weight and probability fields depend only on
-    the word's count profile, so their text is rendered once per profile.
+    It is the text of the batches that runs stream to words.csv, joined.
     Raises DomainError unless the idf, weight and probability columns are filled.
+    """
+    return "".join(_words_csv_chunks(lexicon))
+
+
+def _words_csv_chunks(lexicon: Lexicon) -> Iterator[str]:
+    """The words.csv text as its header, then one str per batch of _WORDS_CSV_BATCH rows.
+
+    The doc_frequency, idf, weight and probability fields depend only on
+    the word's count profile, so their text is rendered once per profile,
+    here at call time: an unfilled column raises DomainError before any
+    chunk is taken.
     """
     numbers = [
         f"{len(counts)},{idf!r},{weight!r},{probability!r}\n"
@@ -224,23 +240,28 @@ def words_csv(lexicon: Lexicon) -> str:
             lexicon.doc_counts, *map(lexicon.column, ("idf", "weight", "probability"))
         )
     ]
-    rows = ["word,first_index,doc_frequency,idf,weight,probability\n"]
-    rows += [
-        f"{_csv_field(surface)},{first_index},{numbers[pid]}"
-        for first_index, (surface, pid) in enumerate(zip(lexicon.surfaces, lexicon.profile_ids), start=1)
-    ]
-    return "".join(rows)
+
+    def chunks() -> Iterator[str]:
+        yield "word,first_index,doc_frequency,idf,weight,probability\n"
+        rows = enumerate(zip(lexicon.surfaces, lexicon.profile_ids), start=1)
+        while batch := [
+            f"{_csv_field(surface)},{first_index},{numbers[pid]}"
+            for first_index, (surface, pid) in islice(rows, _WORDS_CSV_BATCH)
+        ]:
+            yield "".join(batch)
+
+    return chunks()
 
 
 def run_pipeline(config: RunConfig) -> AnalysisReport:
     """Execute the full analysis and write the output files.
 
     Stages run in a fixed order; any stage error carries the stage name in
-    its ``stage`` attribute. Output is all or nothing: each file is written
-    to a temporary file in the output directory as it is rendered, and only
-    when every one is written do they replace the final names. A failed run
-    leaves earlier outputs as they were and no temporary files, and removes
-    the directories it created.
+    its ``stage`` attribute. Output is all or nothing: each file is streamed
+    to a temporary file in the output directory, words.csv in batches of
+    rows and the others whole, and only when every one is written do they
+    replace the final names. A failed run leaves earlier outputs as they
+    were and no temporary files, and removes the directories it created.
     """
     with _cycle_collection_paused():
         with _stage("load_corpus"):
@@ -281,11 +302,11 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     )
 
     renderers = {
-        "stopwords.txt": lambda: export_list(stopwords),
-        "report.json": report.to_json,
-        "words.csv": lambda: words_csv(lexicon),
-        "density.svg": lambda: emit_density_plot(dist, stopwords, summary),
-        "sorted.svg": lambda: emit_sorted_plot(lexicon, stopwords),
+        "stopwords.txt": lambda: (export_list(stopwords),),
+        "report.json": lambda: (report.to_json(),),
+        "words.csv": lambda: _words_csv_chunks(lexicon),
+        "density.svg": lambda: (emit_density_plot(dist, stopwords, summary),),
+        "sorted.svg": lambda: (emit_sorted_plot(lexicon, stopwords),),
     }
     with _stage("write_outputs"):
         _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])
@@ -298,13 +319,15 @@ def _output_names(config: RunConfig) -> tuple[str, ...]:
     return names + ("density.svg", "sorted.svg") if config.plots else names
 
 
-def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], str]]]) -> None:
+def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], Iterable[str]]]]) -> None:
     """Render and write every (file name, renderer) output, or none of them.
 
-    Each output goes to a temporary file in ``out_dir`` as soon as it is
-    rendered, so one rendered output is held at a time. The temporary files
-    replace the final names only after all of them are written. On failure
-    they are deleted, and so are the directories this call created.
+    A renderer returns its output as str chunks. Each chunk goes to a
+    temporary file in ``out_dir`` as soon as it is rendered, so one chunk is
+    held at a time: a batch of words.csv rows, or a whole smaller file. The
+    temporary files replace the final names only after all of them are
+    written. On failure they are deleted, and so are the directories this
+    call created.
     """
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,7 +337,7 @@ def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], str]]]) -> N
             temp = out_dir / f".{name}.{os.getpid()}.tmp"
             written.append((temp, out_dir / name))
             with open(temp, "w", encoding="utf-8") as handle:
-                handle.write(render())
+                handle.writelines(render())
         for temp, final in written:
             os.replace(temp, final)
     except BaseException:

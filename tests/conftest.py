@@ -38,8 +38,8 @@ def letter_code(number: int) -> str:
             return code
 
 
-def eight_profile_corpus(n_words: int):
-    """``n_words`` words in 4 documents over 8 count profiles.
+def eight_profile_documents(n_words: int) -> list[tuple[str, str]]:
+    """(name, text) of 4 documents holding ``n_words`` words over 8 count profiles.
 
     Word j occurs j % 3 + 1 times in document j % 4, and odd words once more
     in the next document.
@@ -51,7 +51,12 @@ def eight_profile_corpus(n_words: int):
         documents[j % n_docs] += [word] * (j % 3 + 1)
         if j % 2:
             documents[(j + 1) % n_docs].append(word)
-    return load_corpus((f"d{d}", " ".join(words)) for d, words in enumerate(documents))
+    return [(f"d{d}", " ".join(words)) for d, words in enumerate(documents)]
+
+
+def eight_profile_corpus(n_words: int):
+    """The corpus of ``eight_profile_documents(n_words)``."""
+    return load_corpus(eight_profile_documents(n_words))
 
 
 def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -212,14 +213,30 @@ def _fail_last_output(monkeypatch):
     monkeypatch.setattr(stoplex.report, "emit_sorted_plot", emit_sorted_plot)
 
 
-def test_cli_failed_write_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
-    out_dir = tmp_path / "out"
+def _fail_words_csv_after_its_first_batch(monkeypatch, out_dir, open_temps: list) -> None:
+    """Make the words.csv chunk source raise once its header and first row are written.
+
+    The words.csv temporary files present when it raises go to ``open_temps``.
+    """
+    chunks = stoplex.report._words_csv_chunks
+
+    def failing_chunks(lexicon):
+        yield from islice(chunks(lexicon), 2)
+        open_temps.extend(out_dir.glob(".words.csv.*.tmp"))
+        raise StoplexError("cannot render")
+
+    monkeypatch.setattr(stoplex.report, "_WORDS_CSV_BATCH", 1)
+    monkeypatch.setattr(stoplex.report, "_words_csv_chunks", failing_chunks)
+
+
+def _rerun_failing(out_dir, capsys, fail) -> None:
+    """Run once, make ``fail()`` break the writing, then rerun with other weights: no output may change."""
     code = main(["analyze", str(TOY_DIR), "--fraction", "0.4", "--plots", "--out", str(out_dir)])
     assert code == 0
     earlier = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert len(earlier) == 5
     capsys.readouterr()
-    _fail_last_output(monkeypatch)
+    fail()
     # other weights, so every rewritten output would differ from the earlier run's
     code = main([
         "analyze", str(TOY_DIR), "--fraction", "0.4", "--averaging", "containing", "--plots",
@@ -230,14 +247,39 @@ def test_cli_failed_write_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
     assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == earlier
 
 
-def test_cli_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
-    _fail_last_output(monkeypatch)
+def _run_failing_into_fresh_tree(tmp_path, capsys) -> None:
     out_dir = tmp_path / "fresh" / "out"
     code = main(["analyze", str(TOY_DIR), "--fraction", "0.4", "--plots", "--out", str(out_dir)])
     assert code == 1
     assert "[write_outputs]" in capsys.readouterr().err
     assert not out_dir.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_failed_write_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
+    _rerun_failing(tmp_path / "out", capsys, lambda: _fail_last_output(monkeypatch))
+
+
+def test_cli_failed_write_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    _fail_last_output(monkeypatch)
+    _run_failing_into_fresh_tree(tmp_path, capsys)
+
+
+def test_cli_words_csv_failing_midstream_keeps_earlier_outputs(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    open_temps = []
+    _rerun_failing(
+        out_dir, capsys, lambda: _fail_words_csv_after_its_first_batch(monkeypatch, out_dir, open_temps)
+    )
+    assert len(open_temps) == 1  # the failure came while words.csv was being written
+    assert not list(out_dir.glob(".words.csv.*.tmp"))
+
+
+def test_cli_words_csv_failing_midstream_removes_the_directories_it_made(tmp_path, monkeypatch, capsys):
+    open_temps = []
+    _fail_words_csv_after_its_first_batch(monkeypatch, tmp_path / "fresh" / "out", open_temps)
+    _run_failing_into_fresh_tree(tmp_path, capsys)
+    assert len(open_temps) == 1
 
 
 def test_cli_degenerate_exit_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""The words.csv text against the csv.writer rendering it replaced."""
+"""The words.csv text against the csv.writer rendering it replaced, and its streaming."""
 
 import math
+import tracemalloc
 from array import array
 from dataclasses import replace
 
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
-from stoplex import DomainError, Lexicon, words_csv
+import stoplex.report
+from stoplex import DomainError, Lexicon, RunConfig, run_pipeline, words_csv
+from stoplex.report import _words_csv_chunks
+
+from conftest import eight_profile_documents
 
 NUMBER_COLUMNS = ("idf", "weight", "probability")
+# row batch sizes small enough for the drawn lexicons to span several batches
+BATCHES = (1, 2, 3)
 
 
 def _lexicon(words, profiles) -> Lexicon:
@@ -76,7 +83,12 @@ def test_words_csv_matches_csv_writer(lexicon):
     if CSV_QUOTES_LONE_CR:
         surfaces = tuple(surface.replace("\r", "") for surface in lexicon.surfaces)
         lexicon = replace(lexicon, surfaces=surfaces)
-    assert words_csv(lexicon) == csv_oracle.words_csv(lexicon)
+    expected = csv_oracle.words_csv(lexicon)
+    assert words_csv(lexicon) == expected
+    for batch in BATCHES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stoplex.report, "_WORDS_CSV_BATCH", batch)
+            assert "".join(_words_csv_chunks(lexicon)) == expected
 
 
 @pytest.mark.parametrize("column", NUMBER_COLUMNS)
@@ -84,3 +96,42 @@ def test_words_csv_requires_every_number_column(column):
     lexicon = _lexicon([("olma", 0), ("nok", 1), ("olma", 0)], [(2, 1.5, 0.5, 0.25), (1, 0.0, 0.0, 0.0)])
     with pytest.raises(DomainError, match=column):
         words_csv(replace(lexicon, **{column: ()}))
+    # the chunk source checks when called, before any chunk is taken
+    with pytest.raises(DomainError, match=column):
+        _words_csv_chunks(replace(lexicon, **{column: ()}))
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_words_csv_chunks_are_the_header_then_full_batches(monkeypatch, batch, offset):
+    monkeypatch.setattr(stoplex.report, "_WORDS_CSV_BATCH", batch)
+    n_words = batch + offset
+    lexicon = _lexicon(
+        [(f"w,{j}", j % 2) for j in range(n_words)], [(2, 1.5, 0.5, 0.25), (1, 0.0, NEG_ZERO, 5e-324)]
+    )
+    chunks = list(_words_csv_chunks(lexicon))
+    assert "".join(chunks) == csv_oracle.words_csv(lexicon)
+    full, rest = divmod(n_words, batch)
+    assert [chunk.count("\n") for chunk in chunks] == [1] + [batch] * full + [rest] * (rest > 0)
+
+
+def test_writing_words_csv_holds_a_small_fraction_of_the_file(tmp_path, monkeypatch):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name, text in eight_profile_documents(100_000):
+        (in_dir / f"{name}.txt").write_text(text, encoding="utf-8")
+    # keep the renderers the pipeline hands to _write_all, then measure writing only words.csv
+    renderers = {}
+    write_all = stoplex.report._write_all
+    monkeypatch.setattr(stoplex.report, "_write_all", lambda out_dir, outputs: renderers.update(outputs))
+    run_pipeline(RunConfig(inputs=(str(in_dir),), output_dir=tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        write_all(tmp_path, [("words.csv", renderers["words.csv"])])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "words.csv").stat().st_size
+    # measured on CPython 3.11: 0.16 of the 7.4 MB file; rendering the file
+    # whole, as one str next to its row list and UTF-8 copy, took 2.8 times it
+    assert peak <= 0.5 * size
