@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success; 2 bad option values, input that is missing,
-unreadable, undecodable or empty, or an output directory that cannot be
-made; 3 degenerate corpora (no tf-idf signal or zero variance); 1 any other
-stoplex error, such as a renderer failure.
+unreadable, undecodable or empty (no file, or no word), or an output
+directory that cannot be made; 3 degenerate corpora (no tf-idf signal or
+zero variance); 1 any other stoplex error, such as a renderer failure.
 """
 
 from __future__ import annotations

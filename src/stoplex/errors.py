@@ -14,7 +14,7 @@ class StoplexError(Exception):
 
 
 class EmptyCorpus(StoplexError):
-    """A corpus was built from zero sources."""
+    """A corpus has no source, or a run's corpus holds no word."""
 
 
 class DecodeError(StoplexError):

@@ -77,16 +77,17 @@ def raw_moment(dist: IndexDistribution, k: int) -> float:
 def moment_summary(dist: IndexDistribution) -> MomentSummary:
     """Expectation, dispersion, raw moments, third central moment, skew.
 
-    Zero dispersion raises DegenerateDistribution: the asymmetry is
-    undefined there and downstream verdicts need a real number.
+    Zero dispersion, or a sigma**3 that underflows to zero, raises
+    DegenerateDistribution: the asymmetry is undefined there and downstream
+    verdicts need a real number.
     """
     e1 = raw_moment(dist, 1)
     e2 = raw_moment(dist, 2)
     e3 = raw_moment(dist, 3)
     dispersion = math.fsum(p * (i - e1) ** 2 for i, p in enumerate(dist.probabilities, start=1))
-    if dispersion == 0.0:
-        raise DegenerateDistribution("zero dispersion: asymmetry undefined")
     sigma = math.sqrt(dispersion)
+    if sigma**3 == 0.0:  # zero dispersion, or one so small that sigma**3 underflows
+        raise DegenerateDistribution(f"sigma**3 is zero at dispersion {dispersion!r}: asymmetry undefined")
     mu3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
     return MomentSummary(
         expectation=e1,

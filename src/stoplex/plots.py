@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .corpus import Lexicon
 from .moments import IndexDistribution, MomentSummary
-from .selection import StopwordSet
 
 _WIDTH = 800
 _HEIGHT = 500
@@ -177,12 +176,8 @@ def _first_of_each_value(
                 yield first + at, value
 
 
-def emit_density_plot(
-    dist: IndexDistribution,
-    candidates: StopwordSet,
-    summary: MomentSummary,
-) -> str:
-    """Scatter of (index, probability) with candidates and E, E+-sigma marked.
+def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], summary: MomentSummary) -> str:
+    """Scatter of (index, probability) with the candidates' first indices and E, E+-sigma marked.
 
     Candidate points are drawn on top in a second color; dashed reference
     lines sit at E - sigma, E and E + sigma (clamped into the index range).
@@ -194,13 +189,13 @@ def emit_density_plot(
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
         "probability of unique words by first-appearance index", "first-appearance index", frame,
-        _first_of_each_value(frame, probs, sorted(e.first_index for e in candidates.candidates)),
-        ((e.first_index, probs[e.first_index - 1]) for e in candidates.candidates), 3,
+        _first_of_each_value(frame, probs, sorted(first_indices)),
+        ((i, probs[i - 1]) for i in first_indices), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),
     )
 
 
-def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
+def emit_sorted_plot(lexicon: Lexicon, k: int) -> str:
     """Probabilities in descending order with the selection cutoff marked.
 
     The cutoff line sits after rank N - k, separating the kept words from
@@ -214,7 +209,7 @@ def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
     )
     values, counts = zip(*runs) if runs else ((), ())
     starts = list(accumulate(counts, initial=1))  # each run's first rank
-    n, k = lexicon.size, candidates.count
+    n = lexicon.size
     frame = _frame(n, max(probability, default=0.0))
 
     def ranked(lo: int, hi: int) -> Iterator[tuple[int, float]]:

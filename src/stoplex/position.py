@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import DegenerateDistribution, DomainError, NonFinite
 from .moments import ZERO_SKEW_EPS, MomentSummary
-from .selection import StopwordSet
 
 
 class Side(str, Enum):
@@ -77,15 +77,15 @@ def classify_side(value: float, expectation: float, std_dev: float) -> Side:
     return Side.INSIDE
 
 
-def interval_coverage(candidates: StopwordSet, summary: MomentSummary) -> CoverageReport:
-    """Classify every candidate's first index against (E - sigma, E + sigma)."""
+def interval_coverage(first_indices: Sequence[int], summary: MomentSummary) -> CoverageReport:
+    """Classify the candidates' first indices against (E - sigma, E + sigma)."""
     if summary.std_dev <= 0.0:
         raise DegenerateDistribution("zero standard deviation: interval is empty")
-    if candidates.count < 1:
+    if not first_indices:
         raise DomainError("coverage needs at least one candidate")
     left = inside = right = 0
-    for entry in candidates.candidates:
-        side = classify_side(entry.first_index, summary.expectation, summary.std_dev)
+    for index in first_indices:
+        side = classify_side(index, summary.expectation, summary.std_dev)
         if side is Side.LEFT:
             left += 1
         elif side is Side.RIGHT:

@@ -18,11 +18,11 @@ from fractions import Fraction
 from itertools import islice
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._version import __version__
 from .corpus import ORDER_MODES, Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
-from .errors import DomainError, NonFinite, StoplexError
+from .errors import DomainError, EmptyCorpus, NonFinite, StoplexError
 from .moments import MomentSummary, density, moment_summary
 from .plots import emit_density_plot, emit_sorted_plot
 from .position import (
@@ -197,12 +197,11 @@ def _cycle_collection_paused():
             gc.enable()
 
 
-def sample_mean_for(config: RunConfig, lexicon_size: int, stopwords: StopwordSet) -> float:
-    """X-bar for the Z test: index-range midpoint, or the candidates' mean index."""
-    if config.xbar_mode == "midpoint":
+def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[int]) -> float:
+    """X-bar for the Z test: index-range midpoint, or the candidates' mean first index."""
+    if xbar_mode == "midpoint":
         return (lexicon_size + 1) / 2
-    indices = [e.first_index for e in stopwords.candidates]
-    return math.fsum(indices) / len(indices)
+    return math.fsum(first_indices) / len(first_indices)
 
 
 # rows per words.csv chunk (~80 bytes each on Uzbek text): a run holds one
@@ -267,6 +266,8 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         with _stage("load_corpus"):
             files = collect_input_files(config.inputs, config.order)
             corpus = load_corpus_from_paths(files)
+            if corpus.token_total == 0:
+                raise EmptyCorpus("no document holds a word")
         token_total = corpus.token_total
         with _stage("build_lexicon"):
             lexicon = build_lexicon(corpus)
@@ -281,10 +282,11 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         summary = moment_summary(dist)
     with _stage("select_candidates"):
         stopwords = select_candidates(lexicon, config.fraction)
+    first_indices = [e.first_index for e in stopwords.candidates]
     with _stage("interval_coverage"):
-        coverage = interval_coverage(stopwords, summary)
+        coverage = interval_coverage(first_indices, summary)
     with _stage("z_test"):
-        xbar = sample_mean_for(config, lexicon.size, stopwords)
+        xbar = sample_mean_for(config.xbar_mode, lexicon.size, first_indices)
         z_result = hypothesis_decision(lexicon.size, xbar, summary, config.z_critical)
     with _stage("verdict"):
         verdict = location_verdict(summary.asymmetry)
@@ -305,8 +307,8 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         "stopwords.txt": lambda: (export_list(stopwords),),
         "report.json": lambda: (report.to_json(),),
         "words.csv": lambda: _words_csv_chunks(lexicon),
-        "density.svg": lambda: (emit_density_plot(dist, stopwords, summary),),
-        "sorted.svg": lambda: (emit_sorted_plot(lexicon, stopwords),),
+        "density.svg": lambda: (emit_density_plot(dist, first_indices, summary),),
+        "sorted.svg": lambda: (emit_sorted_plot(lexicon, stopwords.count),),
     }
     with _stage("write_outputs"):
         _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stoplex import Lexicon, StopwordSet, build_lexicon, load_corpus
+from stoplex import Lexicon, build_lexicon, load_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 TOY_DIR = DATA_DIR / "corpus_t"
@@ -76,18 +76,6 @@ def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
         idf=(1.0,) * n,
         weight=tuple(probabilities),
         probability=tuple(probabilities),
-    )
-
-
-def stopword_set(candidates=()) -> StopwordSet:
-    """Hand-picked candidates for coverage, export and plot tests, which read no counts."""
-    return StopwordSet(
-        fraction=0.05,
-        threshold=0.0,
-        candidates=tuple(candidates),
-        zero_weight_words=0,
-        below_threshold=0,
-        tied_at_threshold=0,
     )
 
 

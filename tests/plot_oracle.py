@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, islice, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from stoplex import IndexDistribution, Lexicon, MomentSummary, StopwordSet
+from stoplex import IndexDistribution, Lexicon, MomentSummary
 from stoplex.plots import (
     _AXIS_COLOR,
     _CANDIDATE_COLOR,
@@ -82,29 +82,25 @@ def _scatter(
     return "\n".join(parts)
 
 
-def emit_density_plot(
-    dist: IndexDistribution,
-    candidates: StopwordSet,
-    summary: MomentSummary,
-) -> str:
-    """Scatter of (index, probability) with candidates and E, E+-sigma marked.
+def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], summary: MomentSummary) -> str:
+    """Scatter of (index, probability) with the candidates' first indices and E, E+-sigma marked.
 
     Candidate points are drawn on top in a second color; dashed reference
     lines sit at E - sigma, E and E + sigma (clamped into the index range).
     """
     probs = dist.probabilities
-    candidate_indices = {e.first_index for e in candidates.candidates}
+    candidate_indices = set(first_indices)
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
         "probability of unique words by first-appearance index", "first-appearance index",
         dist.size, max(probs),
         ((i, p) for i, p in enumerate(probs, start=1) if i not in candidate_indices),
-        ((e.first_index, probs[e.first_index - 1]) for e in candidates.candidates), 3,
+        ((i, probs[i - 1]) for i in first_indices), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),
     )
 
 
-def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
+def emit_sorted_plot(lexicon: Lexicon, k: int) -> str:
     """Probabilities in descending order with the selection cutoff marked.
 
     The cutoff line sits after rank N - k, separating the kept words from
@@ -116,7 +112,7 @@ def emit_sorted_plot(lexicon: Lexicon, candidates: StopwordSet) -> str:
         ((value, words[pid]) for pid, value in enumerate(lexicon.column("probability"))),
         reverse=True,
     )
-    n, k = lexicon.size, candidates.count
+    n = lexicon.size
     probs = chain.from_iterable(repeat(value, count) for value, count in profiles)
     ranked = enumerate(probs, start=1)  # ranks up to N - k are kept words, the rest candidates
     return _scatter(

@@ -27,7 +27,7 @@ from stoplex import (
 )
 from stoplex.cli import main
 
-from conftest import TOY_DIR, TOY_SOURCES, make_lexicon, stopword_set
+from conftest import TOY_DIR, TOY_SOURCES, make_lexicon
 
 
 def test_criterion_1_z_score_checkpoint(criterion):
@@ -49,8 +49,6 @@ def test_criterion_2_candidate_count_checkpoint(criterion):
 def test_criterion_3_coverage_checkpoint(criterion):
     with criterion(3, "coverage left=545 right=6 of 642 -> 0.8583 +/- 0.0005, shown as 85.8%"):
         indices = [10] * 545 + [7000] * 91 + [12500] * 6
-        lexicon = make_lexicon([0.0] * 12837)
-        candidates = stopword_set(lexicon.row(i - 1) for i in indices)
         summary = MomentSummary(
             expectation=7076.62,
             dispersion=3461.419**2,
@@ -61,7 +59,7 @@ def test_criterion_3_coverage_checkpoint(criterion):
             third_central_moment=0.0,
             asymmetry=0.0,
         )
-        report = interval_coverage(candidates, summary)
+        report = interval_coverage(indices, summary)
         assert (report.left_count, report.right_count) == (545, 6)
         assert report.total == 642
         assert report.outside_fraction == pytest.approx(0.8583, abs=5e-4)

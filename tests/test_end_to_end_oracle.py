@@ -1,0 +1,93 @@
+"""Whole runs of `stoplex analyze` against the benchmark's stoplex-free reference.
+
+Small corpora and every option value are drawn at random. The reference
+(perfbench/check.py, loaded by path and only read) is fed the tokens of
+tests/scanner_oracle.py, never those of stoplex.tokenize, so a fault in any
+stage, the tokenizer included, shows as a mismatch of the run's outputs.
+"""
+
+import importlib.util
+import json
+import sys
+import tempfile
+from collections import Counter
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+import scanner_oracle
+from stoplex.cli import main
+
+_CHECK_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+_spec = importlib.util.spec_from_file_location("perfbench_check", _CHECK_PATH)
+check = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = check  # dataclasses resolve the module's string annotations through sys.modules
+_spec.loader.exec_module(check)
+
+# "42" and "!!" hold no word; "O'zbek" and "O’zbek" are one word, "½x" is the word "x"
+ASCII_PIECES = ("O'zbek", "olma", "nok", "OLMA", "42", "!!")
+PIECES = ASCII_PIECES + ("O’zbek", "gʻoya", "CAFÉ", "café", "İz", "½x")
+
+# each document is all ASCII, which takes the tokenizer's ASCII path, or mixed
+document = st.lists(st.sampled_from(ASCII_PIECES), max_size=12) | st.lists(st.sampled_from(PIECES), max_size=12)
+documents = st.lists(document, min_size=2, max_size=5)
+options = st.builds(
+    check.RunOptions,
+    fraction=st.integers(1, 999).map(lambda n: str(n / 1000)),
+    averaging=st.sampled_from(["all", "containing"]),
+    xbar=st.sampled_from(["midpoint", "candidates"]),
+    zcrit=st.sampled_from([0.5, 1.96, 3.0, 40.0]),
+    plots=st.booleans(),
+    order=st.sampled_from(["list", "lexicographic"]),
+)
+
+
+def _argv(opts) -> list[str]:
+    """The analyze options that ``opts`` stands for."""
+    argv = [
+        "--fraction", opts.fraction, "--averaging", opts.averaging, "--xbar", opts.xbar,
+        "--zcrit", repr(opts.zcrit), "--order", opts.order,
+    ]
+    return argv + ["--plots"] if opts.plots else argv
+
+
+def _degenerate(docs: list[tuple[str, ...]]) -> bool:
+    """True when at most one word has weight: every other word is in every document."""
+    doc_frequency = Counter(word for tokens in docs for word in set(tokens))
+    return sum(m < len(docs) for m in doc_frequency.values()) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents, st.permutations(range(5)), options)
+def test_analyze_matches_the_reference(pieces, shuffle, opts):
+    texts = [" ".join(doc) for doc in pieces]
+    names = [f"doc{i}.txt" for i in range(len(texts))]
+    passed = [i for i in shuffle if i < len(texts)]  # the files in shuffled order
+    read = sorted(passed, key=names.__getitem__) if opts.order == "lexicographic" else passed
+    docs = [tuple(scanner_oracle.tokenize(texts[i])) for i in read]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in zip(names, texts):
+            (root / name).write_text(text, encoding="utf-8")
+        out = root / "out"
+        stdout = StringIO()
+        with redirect_stdout(stdout):
+            code = main(["analyze", *(str(root / names[i]) for i in passed), *_argv(opts), "--out", str(out)])
+
+        if not any(docs):
+            assert code == 2
+        elif _degenerate(docs):
+            assert code == 3
+        else:
+            assert code == 0
+            ref = check.build_reference(tuple(docs), opts)
+            check.check_outputs(out, ref, opts, stdout.getvalue())
+            counts = json.loads((out / "report.json").read_text(encoding="utf-8"))["stopwords"]
+            assert counts["zero_weight_words"] == sum(w == 0.0 for w in ref.weight)
+            assert counts["below_threshold"] == sum(p < ref.threshold for p in ref.probability)
+            assert counts["tied_at_threshold"] == sum(p == ref.threshold for p in ref.probability)
+        if code:
+            assert not out.exists()

@@ -102,6 +102,12 @@ def test_moment_summary_degenerate():
         moment_summary(IndexDistribution((0.0, 1.0, 0.0)))
 
 
+def test_moment_summary_sigma_cubed_underflow():
+    # D = 1e-300 is positive, but sigma**3 = 1e-450 underflows to 0.0
+    with pytest.raises(DegenerateDistribution):
+        moment_summary(IndexDistribution((1.0, 1e-300)))
+
+
 def test_internal_identities_hold():
     s = moment_summary(IndexDistribution((0.6, 0.3, 0.1)))
     assert s.std_dev == pytest.approx(math.sqrt(s.dispersion), rel=1e-12)

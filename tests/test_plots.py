@@ -23,7 +23,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, eight_profile_corpus, letter_code, make_lexicon, stopword_set
+from conftest import TOY_SOURCES, eight_profile_corpus, letter_code, make_lexicon
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -32,6 +32,10 @@ def toy_parts():
     lexicon = probabilities(apply_weights(build_lexicon(load_corpus(TOY_SOURCES))))
     dist = density(lexicon)
     return lexicon, dist, moment_summary(dist), select_candidates(lexicon, 0.4)
+
+
+def first_indices(selected) -> list[int]:
+    return [e.first_index for e in selected.candidates]
 
 
 def by_class(svg: str) -> dict[str, int]:
@@ -46,7 +50,7 @@ def by_class(svg: str) -> dict[str, int]:
 
 def test_density_plot_structure():
     _, dist, summary, selected = toy_parts()
-    svg = emit_density_plot(dist, selected, summary)
+    svg = emit_density_plot(dist, first_indices(selected), summary)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("version") == "1.1"
@@ -58,8 +62,7 @@ def test_density_plot_structure():
 
 def test_density_plot_empty_candidates():
     _, dist, summary, _ = toy_parts()
-    empty = stopword_set()
-    counts = by_class(emit_density_plot(dist, empty, summary))
+    counts = by_class(emit_density_plot(dist, [], summary))
     assert counts.get("stopword", 0) == 0
     assert counts.get("word", 0) == 3
     assert counts.get("ref", 0) == 3
@@ -67,7 +70,7 @@ def test_density_plot_empty_candidates():
 
 def test_density_plot_axis_labels():
     _, dist, summary, selected = toy_parts()
-    svg = emit_density_plot(dist, selected, summary)
+    svg = emit_density_plot(dist, first_indices(selected), summary)
     assert "first-appearance index" in svg
     assert "probability" in svg
 
@@ -79,7 +82,7 @@ def test_density_plot_full_scale_fast_and_small():
     summary = moment_summary(dist)
     selected = select_candidates(lexicon, 0.05)
     start = time.perf_counter()
-    svg = emit_density_plot(dist, selected, summary)
+    svg = emit_density_plot(dist, first_indices(selected), summary)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
@@ -98,7 +101,7 @@ def test_both_plots_small_at_100k_words(monkeypatch):
     summary = moment_summary(dist)
 
     def both_plots():
-        return emit_density_plot(dist, selected, summary), emit_sorted_plot(lexicon, selected)
+        return emit_density_plot(dist, first_indices(selected), summary), emit_sorted_plot(lexicon, selected.count)
 
     for svg in both_plots():
         assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
@@ -122,7 +125,7 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
     selected = select_candidates(lexicon, 0.05)
     tracemalloc.start()
     try:
-        emit_density_plot(dist, selected, summary)
+        emit_density_plot(dist, first_indices(selected), summary)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -144,8 +147,8 @@ def test_plots_map_far_fewer_points_than_words(monkeypatch):
         return x(frame, value)
 
     monkeypatch.setattr(stoplex.plots._Frame, "x", counted)
-    emit_density_plot(dist, selected, moment_summary(dist))
-    emit_sorted_plot(lexicon, selected)
+    emit_density_plot(dist, first_indices(selected), moment_summary(dist))
+    emit_sorted_plot(lexicon, selected.count)
     # measured: 19 470 calls, 5 000 of them for the candidates of the density
     # plot, which are walked one by one; mapping every point costs 2N + 4
     assert calls < lexicon.size // 4
@@ -153,7 +156,7 @@ def test_plots_map_far_fewer_points_than_words(monkeypatch):
 
 def test_sorted_plot_structure():
     lexicon, _, _, selected = toy_parts()
-    svg = emit_sorted_plot(lexicon, selected)
+    svg = emit_sorted_plot(lexicon, selected.count)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     counts = by_class(svg)
@@ -164,7 +167,7 @@ def test_sorted_plot_structure():
 
 def test_sorted_plot_descending_order():
     lexicon, _, _, selected = toy_parts()
-    root = ET.fromstring(emit_sorted_plot(lexicon, selected))
+    root = ET.fromstring(emit_sorted_plot(lexicon, selected.count))
     ys = [
         float(el.get("cy"))
         for el in root.iter(f"{SVG_NS}circle")
@@ -176,14 +179,14 @@ def test_sorted_plot_descending_order():
 def test_sorted_plot_uniform_probabilities():
     lexicon = make_lexicon([0.25] * 4)
     selected = select_candidates(lexicon, 0.3)  # k = 2
-    svg = emit_sorted_plot(lexicon, selected)
+    svg = emit_sorted_plot(lexicon, selected.count)
     assert "cutoff (rank 2)" in svg
 
 
 def test_sorted_plot_single_word():
     lexicon = make_lexicon([1.0])
     selected = select_candidates(lexicon, 0.5)  # k = 1
-    svg = emit_sorted_plot(lexicon, selected)
+    svg = emit_sorted_plot(lexicon, selected.count)
     assert "cutoff (rank 0)" in svg
     counts = by_class(svg)
     assert counts.get("word", 0) + counts.get("stopword", 0) == 1
@@ -191,8 +194,9 @@ def test_sorted_plot_single_word():
 
 def test_plots_are_deterministic():
     lexicon, dist, summary, selected = toy_parts()
-    assert emit_density_plot(dist, selected, summary) == emit_density_plot(dist, selected, summary)
-    assert emit_sorted_plot(lexicon, selected) == emit_sorted_plot(lexicon, selected)
+    indices = first_indices(selected)
+    assert emit_density_plot(dist, indices, summary) == emit_density_plot(dist, indices, summary)
+    assert emit_sorted_plot(lexicon, selected.count) == emit_sorted_plot(lexicon, selected.count)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def _profile_lexicon(weights, profile_ids) -> Lexicon:
 
 @st.composite
 def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scattered", "nearly all"])):
-    """A lexicon of ``sizes`` words over profiles of ``weights``, and candidates for it.
+    """A lexicon of ``sizes`` words over profiles of ``weights``, and candidates' first indices for it.
 
     Words come in stretches that share a profile, so a pixel column holds
     repeated probabilities. Candidates are either selected, or hand-picked
@@ -236,11 +240,11 @@ def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scat
     lexicon = _profile_lexicon(profile_weights, ids)
     how = draw(candidates)
     if how == "select":
-        selected = select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"])))
+        indices = first_indices(select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"]))))
     else:
         k = rng.randint(0, n) if how == "scattered" else max(n - rng.randint(0, 3), 0)
-        selected = stopword_set(lexicon.row(pos) for pos in rng.sample(range(n), k))
-    return lexicon, selected
+        indices = rng.sample(range(1, n + 1), k)
+    return lexicon, indices
 
 
 # small weights, so distinct profiles often share a probability; -0.0 and
@@ -250,17 +254,18 @@ EQUAL_WEIGHTS = st.builds(lambda count, weight: [weight] * count, st.integers(1,
 SIZES = st.integers(1, 20_000)
 
 
-def assert_plots_match_oracle(lexicon, selected):
+def assert_plots_match_oracle(lexicon, indices):
     dist = density(lexicon)
     summary = MomentSummary((dist.size + 1) / 2, 0.0, dist.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert emit_density_plot(dist, selected, summary) == plot_oracle.emit_density_plot(dist, selected, summary)
-    assert emit_sorted_plot(lexicon, selected) == plot_oracle.emit_sorted_plot(lexicon, selected)
+    assert emit_density_plot(dist, indices, summary) == plot_oracle.emit_density_plot(dist, indices, summary)
+    k = len(indices)
+    assert emit_sorted_plot(lexicon, k) == plot_oracle.emit_sorted_plot(lexicon, k)
 
 
 def test_one_word_plots_match_oracle():
     lexicon = _profile_lexicon([1.0], [0])
-    for selected in (select_candidates(lexicon, 0.05), stopword_set()):
-        assert_plots_match_oracle(lexicon, selected)
+    for indices in (first_indices(select_candidates(lexicon, 0.05)), []):
+        assert_plots_match_oracle(lexicon, indices)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,6 @@ from stoplex import (
     MomentSummary,
     NonFinite,
     Side,
-    StopwordSet,
     classify_side,
     format_percent,
     hypothesis_decision,
@@ -18,8 +17,6 @@ from stoplex import (
     location_verdict,
     z_score,
 )
-
-from conftest import make_lexicon, stopword_set
 
 
 def summary_with(expectation: float, std_dev: float) -> MomentSummary:
@@ -35,19 +32,12 @@ def summary_with(expectation: float, std_dev: float) -> MomentSummary:
     )
 
 
-def candidates_at(indices) -> StopwordSet:
-    size = max(indices)
-    probs = [0.0] * size
-    lexicon = make_lexicon(probs)
-    return stopword_set(lexicon.row(i - 1) for i in indices)
-
-
 # --- interval coverage ------------------------------------------------------
 
 def test_coverage_full_scale_arithmetic():
     # 545 left, 91 inside, 6 right out of 642
     indices = [100] * 545 + [7000] * 91 + [12000] * 6
-    report = interval_coverage(candidates_at(indices), summary_with(7076.62, 3461.419))
+    report = interval_coverage(indices, summary_with(7076.62, 3461.419))
     assert (report.left_count, report.inside_count, report.right_count) == (545, 91, 6)
     assert report.outside_fraction == pytest.approx(551 / 642, rel=1e-12)
     assert report.outside_fraction == pytest.approx(0.8583, abs=5e-4)
@@ -55,38 +45,35 @@ def test_coverage_full_scale_arithmetic():
 
 
 def test_coverage_boundaries_count_outside():
-    report = interval_coverage(candidates_at([1, 5, 9]), summary_with(5.0, 2.0))
+    report = interval_coverage([1, 5, 9], summary_with(5.0, 2.0))
     assert (report.left_count, report.inside_count, report.right_count) == (1, 1, 1)
     assert report.outside_fraction == pytest.approx(2 / 3)
     # i = 3 sits exactly on E - sigma and counts as left; i = 7 as right
-    edge = interval_coverage(candidates_at([3, 7]), summary_with(5.0, 2.0))
+    edge = interval_coverage([3, 7], summary_with(5.0, 2.0))
     assert (edge.left_count, edge.inside_count, edge.right_count) == (1, 0, 1)
 
 
 def test_coverage_all_at_expectation():
-    report = interval_coverage(candidates_at([5, 5, 5]), summary_with(5.0, 2.0))
+    report = interval_coverage([5, 5, 5], summary_with(5.0, 2.0))
     assert (report.left_count, report.inside_count, report.right_count) == (0, 3, 0)
     assert report.outside_fraction == 0.0
 
 
 def test_coverage_symmetric_placement_balances():
     # candidates placed symmetrically about E land equally on both sides
-    report = interval_coverage(
-        candidates_at([1, 2, 8, 9, 5]), summary_with(5.0, 2.0)
-    )
+    report = interval_coverage([1, 2, 8, 9, 5], summary_with(5.0, 2.0))
     assert report.left_count == report.right_count == 2
     assert report.inside_count == 1
 
 
 def test_coverage_degenerate_sigma():
     with pytest.raises(DegenerateDistribution):
-        interval_coverage(candidates_at([1]), summary_with(5.0, 0.0))
+        interval_coverage([1], summary_with(5.0, 0.0))
 
 
 def test_coverage_needs_candidates():
-    empty = stopword_set()
     with pytest.raises(DomainError):
-        interval_coverage(empty, summary_with(5.0, 2.0))
+        interval_coverage([], summary_with(5.0, 2.0))
 
 
 # --- z score ----------------------------------------------------------------

@@ -100,6 +100,20 @@ def test_pipeline_empty_dir(tmp_path):
     assert excinfo.value.stage == "load_corpus"
 
 
+# files that hold no word: digits and punctuation are no tokens
+TOKENLESS_FILES = [{"a.txt": "123 !!!", "b.txt": ""}, {"a.txt": ""}]
+
+
+@pytest.mark.parametrize("files", TOKENLESS_FILES)
+def test_pipeline_tokenless_corpus(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(EmptyCorpus) as excinfo:
+        run_pipeline(toy_config(tmp_path / "out", inputs=(str(tmp_path),)))
+    assert excinfo.value.stage == "load_corpus"
+    assert not (tmp_path / "out").exists()
+
+
 def test_pipeline_all_zero_weights(tmp_path):
     for name in ("a.txt", "b.txt"):
         (tmp_path / name).write_text("olma nok olma", encoding="utf-8")
@@ -189,6 +203,18 @@ def test_cli_empty_dir_exit_2(tmp_path, capsys):
     code = main(["analyze", str(empty), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "load_corpus" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("files", TOKENLESS_FILES)
+def test_cli_tokenless_corpus_exit_2(tmp_path, capsys, files):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in files.items():
+        (corpus / name).write_text(text, encoding="utf-8")
+    code = main(["analyze", str(corpus), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("stoplex: [load_corpus] ")
     assert not (tmp_path / "out").exists()
 
 

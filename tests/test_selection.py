@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from stoplex import (
     AveragingMode,
     DomainError,
+    StopwordSet,
     apply_weights,
     build_lexicon,
     candidate_count,
@@ -15,7 +16,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import make_lexicon, stopword_set
+from conftest import make_lexicon
 
 
 def toy_probability_lexicon(toy_lexicon):
@@ -92,7 +93,14 @@ def test_export_list_toy(toy_lexicon):
 
 
 def test_export_list_empty():
-    empty = stopword_set()
+    empty = StopwordSet(
+        fraction=0.05,
+        threshold=0.0,
+        candidates=(),
+        zero_weight_words=0,
+        below_threshold=0,
+        tied_at_threshold=0,
+    )
     assert export_list(empty) == ""
 
 
