@@ -90,15 +90,36 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Per-word counts of an ordered collection of documents.
+    """Per-word counts of an ordered collection of documents, as a tree of count profiles.
 
-    ``postings`` maps each distinct token, in order of first appearance, to
-    its non-zero per-document counts in document order.
+    A word's count profile is its non-zero per-document counts in document
+    order. ``profile_of`` maps each distinct token, in order of first
+    appearance, to the node of its profile. Node n > 0 is the profile of
+    node ``parents[n]`` with ``counts[n]`` appended; node 0 is the empty
+    profile. Words that reach the same profile within one document share a
+    node, so the corpus holds no list per word.
     """
 
-    postings: dict[str, list[int]]
+    profile_of: dict[str, int]
+    parents: array  # array("I"), indexed by node
+    counts: array  # array("I"), indexed by node
     doc_count: int
     token_total: int
+
+    def profile(self, node: int) -> tuple[int, ...]:
+        """The count profile that ``node`` ends, read by walking up to the root."""
+        parents, counts = self.parents, self.counts
+        profile = []
+        while node:
+            profile.append(counts[node])
+            node = parents[node]
+        profile.reverse()
+        return tuple(profile)
+
+    @property
+    def postings(self) -> dict[str, list[int]]:
+        """Each token, in first-appearance order, with its profile as a list; made afresh on each call."""
+        return {token: list(self.profile(node)) for token, node in self.profile_of.items()}
 
 
 class WordEntry(NamedTuple):
@@ -190,26 +211,36 @@ class Lexicon:
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     """Build a corpus from ordered (name, text) pairs.
 
-    Each document is counted as it is tokenized and its counts are folded
-    into the postings at once, so the corpus keeps one string per distinct
-    token. Bytes decode as UTF-8; a bad source raises DecodeError naming it.
-    Zero sources raise EmptyCorpus.
+    Each document is counted as it is tokenized, and each of its words
+    steps from its profile node to a child that appends its count. The
+    words that step from one node with one count share the child, through
+    a lookup that lives for one document. So the corpus keeps one string
+    and one node id per distinct token, plus the nodes. Bytes decode as
+    UTF-8; a bad source raises DecodeError naming it. Zero sources raise
+    EmptyCorpus.
     """
-    postings: dict[str, list[int]] = {}
+    profile_of: dict[str, int] = {}
+    parents = array("I", [0])
+    counts = array("I", [0])
     doc_count = token_total = 0
     for name, blob in sources:
         tokens = tokenize(_decode(name, blob) if isinstance(blob, bytes) else blob)
+        # count -> {parent node: child node}, for this document's steps only
+        child: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for token, count in Counter(tokens).items():
-            counts = postings.get(token)
-            if counts is None:
-                postings[token] = [count]
-            else:
+            parent = profile_of.get(token, 0)
+            siblings = child[count]
+            node = siblings.get(parent)
+            if node is None:
+                node = siblings[parent] = len(parents)
+                parents.append(parent)
                 counts.append(count)
+            profile_of[token] = node
         doc_count += 1
         token_total += len(tokens)
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
-    return Corpus(postings, doc_count, token_total)
+    return Corpus(profile_of, parents, counts, doc_count, token_total)
 
 
 def _decode(name: str, blob: bytes) -> str:
@@ -254,14 +285,16 @@ def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """The corpus's words in first-appearance order over their count profiles.
 
-    One pass over the postings, which are already in first-appearance order
-    with counts in document order, so indices never depend on scheduling.
-    Profile ids number the distinct profiles in order of their first word.
-    The number columns stay empty; the weighting step fills them.
+    ``profile_of`` is already in first-appearance order, and a profile's
+    counts are in document order, so indices never depend on scheduling.
+    Each distinct end node is walked up once, in order of its first word,
+    and profile ids number the distinct profiles in order of their first
+    word. The number columns stay empty; the weighting step fills them.
     """
     ids: defaultdict[tuple[int, ...], int] = defaultdict(itertools.count().__next__)
-    profile_ids = array("I", map(ids.__getitem__, map(tuple, corpus.postings.values())))
+    pid_of = {node: ids[corpus.profile(node)] for node in dict.fromkeys(corpus.profile_of.values())}
+    profile_ids = array("I", map(pid_of.__getitem__, corpus.profile_of.values()))
     doc_counts = tuple(ids)
     return Lexicon(
-        tuple(corpus.postings), profile_ids, doc_counts, tuple(map(sum, doc_counts)), corpus.doc_count
+        tuple(corpus.profile_of), profile_ids, doc_counts, tuple(map(sum, doc_counts)), corpus.doc_count
     )

@@ -8,7 +8,6 @@ representation, so reports diff byte-stably and reload losslessly.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -179,28 +178,15 @@ def _stage(name: str):
         raise
 
 
-@contextmanager
-def _cycle_collection_paused():
-    """Pause the cyclic garbage collector; its previous state is restored on exit.
-
-    Loading allocates one acyclic postings list per word, and building the
-    lexicon one count tuple per word. With collection on, the collector's
-    repeated passes over that growing heap took about half of the lexicon
-    stages' time at N = 117 695.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[int]) -> float:
-    """X-bar for the Z test: index-range midpoint, or the candidates' mean first index."""
+    """X-bar for the Z test: index-range midpoint, or the candidates' mean first index.
+
+    Raises DomainError for the candidates' mean of no first indices.
+    """
     if xbar_mode == "midpoint":
         return (lexicon_size + 1) / 2
+    if not first_indices:
+        raise DomainError("the candidates' mean first index needs at least one candidate")
     return math.fsum(first_indices) / len(first_indices)
 
 
@@ -262,20 +248,19 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     replace the final names. A failed run leaves earlier outputs as they
     were and no temporary files, and removes the directories it created.
     """
-    with _cycle_collection_paused():
-        with _stage("load_corpus"):
-            files = collect_input_files(config.inputs, config.order)
-            corpus = load_corpus_from_paths(files)
-            if corpus.token_total == 0:
-                raise EmptyCorpus("no document holds a word")
-        token_total = corpus.token_total
-        with _stage("build_lexicon"):
-            lexicon = build_lexicon(corpus)
-        del corpus  # later stages read only the lexicon; freeing the postings lowers peak memory
-        with _stage("weights"):
-            lexicon = apply_weights(lexicon, config.averaging)
-        with _stage("probabilities"):
-            lexicon = probabilities(lexicon)
+    with _stage("load_corpus"):
+        files = collect_input_files(config.inputs, config.order)
+        corpus = load_corpus_from_paths(files)
+        if corpus.token_total == 0:
+            raise EmptyCorpus("no document holds a word")
+    token_total = corpus.token_total
+    with _stage("build_lexicon"):
+        lexicon = build_lexicon(corpus)
+    del corpus  # later stages read only the lexicon; this frees the profile tree's dict and arrays
+    with _stage("weights"):
+        lexicon = apply_weights(lexicon, config.averaging)
+    with _stage("probabilities"):
+        lexicon = probabilities(lexicon)
     with _stage("density"):
         dist = density(lexicon)
     with _stage("moment_summary"):

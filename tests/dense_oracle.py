@@ -3,11 +3,14 @@
 Every word holds a count for every document, zeros included, and the
 weighting walks that whole vector. It costs unique words x documents, so
 the package no longer uses it; tests compare the sparse lexicon against it.
+``postings`` keeps the sparse fold that came between the two: one list of
+non-zero counts per word, which the corpus's profile tree replaced.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from stoplex import AllZeroWeights, AveragingMode, DomainError, inverse_document_frequency
@@ -35,6 +38,23 @@ class DenseLexicon:
     @property
     def size(self) -> int:
         return len(self.entries)
+
+
+def postings(documents: list[list[str]]) -> dict[str, list[int]]:
+    """Each token, in first-appearance order, with its non-zero counts in document order.
+
+    The fold over token lists in document order that appended each
+    document's count to one list per word.
+    """
+    folded: dict[str, list[int]] = {}
+    for tokens in documents:
+        for token, count in Counter(tokens).items():
+            counts = folded.get(token)
+            if counts is None:
+                folded[token] = [count]
+            else:
+                counts.append(count)
+    return folded
 
 
 def build_lexicon(documents: list[list[str]]) -> DenseLexicon:

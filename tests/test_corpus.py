@@ -1,3 +1,5 @@
+import random
+import sys
 import tracemalloc
 
 import pytest
@@ -11,6 +13,8 @@ from stoplex import (
     load_corpus,
     load_corpus_from_paths,
 )
+
+from conftest import eight_profile_documents
 
 
 def test_toy_corpus_shape(toy_corpus):
@@ -76,6 +80,44 @@ def test_postings_memory_is_below_two_words_per_pair():
     pairs = 300 * n_docs
     assert retained < 2 * 8 * pairs
     assert (corpus.doc_count, corpus.token_total) == (n_docs, pairs)
+
+
+def test_postings_memory_with_random_counts_is_below_two_words_per_pair():
+    # the same 300 words in 1000 documents, each count drawn from 1-5, so that
+    # profiles seldom meet again: about one tree node per (word, document) pair
+    words = [a + b + c for a in "bdfgklmnst" for b in "aeiou" for c in "lmnrsz"]
+    rng = random.Random(14)
+    n_docs = 1000
+    texts = [(f"d{d}", " ".join(w for w in words for _ in range(rng.randint(1, 5)))) for d in range(n_docs)]
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = 300 * n_docs
+    assert retained < 2 * 8 * pairs
+    # the node lookup lives for one document: one kept for the whole corpus
+    # peaks here at about 80 bytes per pair
+    assert peak < 2 * 8 * pairs
+    assert corpus.doc_count == n_docs
+    assert all(len(corpus.profile(node)) == n_docs for node in corpus.profile_of.values())
+
+
+def test_corpus_retains_its_surfaces_and_one_node_id_per_word():
+    n_words = 100_000
+    texts = eight_profile_documents(n_words)
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the surfaces and the dict that maps them are the floor; a list of counts
+    # per word, as the corpus once kept, would add ~92 bytes per word
+    floor = sum(map(sys.getsizeof, corpus.profile_of)) + sys.getsizeof(corpus.profile_of)
+    assert retained <= floor + 16 * n_words
+    assert (corpus.doc_count, len(corpus.profile_of)) == (4, n_words)
 
 
 def test_toy_lexicon_entries(toy_lexicon):

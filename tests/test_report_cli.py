@@ -11,11 +11,13 @@ import pytest
 import stoplex.report
 from stoplex import (
     AllZeroWeights,
+    DomainError,
     EmptyCorpus,
     NonFinite,
     RunConfig,
     StoplexError,
     run_pipeline,
+    sample_mean_for,
 )
 from stoplex.cli import main
 
@@ -120,7 +122,7 @@ def test_pipeline_all_zero_weights(tmp_path):
     with pytest.raises(AllZeroWeights) as excinfo:
         run_pipeline(toy_config(tmp_path / "out", inputs=(str(tmp_path),), fraction="0.5"))
     assert excinfo.value.stage == "probabilities"
-    assert gc.isenabled()  # the lexicon stages' collection pause ends on failure too
+    assert gc.isenabled()  # a failed run leaves the cyclic collector as it found it
 
 
 def test_config_validation(tmp_path):
@@ -167,6 +169,13 @@ def test_xbar_modes(tmp_path):
     assert midpoint.z_test.sample_mean == 2.0  # (3 + 1) / 2
     candidate_mean = run_pipeline(toy_config(tmp_path / "c", xbar_mode="candidates"))
     assert candidate_mean.z_test.sample_mean == 1.5  # indices 2 (nok) and 1 (olma)
+
+
+def test_candidates_xbar_of_no_candidates_is_a_domain_error():
+    with pytest.raises(DomainError, match="at least one candidate"):
+        sample_mean_for("candidates", 5, [])
+    assert sample_mean_for("midpoint", 5, []) == 3.0
+    assert sample_mean_for("candidates", 5, [2, 1]) == 1.5
 
 
 def test_averaging_mode_changes_weights(tmp_path):

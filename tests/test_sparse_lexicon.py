@@ -53,6 +53,8 @@ def _per_word(table, column):
 @example([("d1", "va olma"), ("d2", "olma va")])
 @example([("d1", ""), ("d2", "")])
 @example([("d1", "olma nok nok nok"), ("d2", "olma olma olma nok")])  # profiles (1, 3) and (3, 1)
+@example([("d1", "olma"), ("d2", "nok")])  # one profile, (1,), reached in two documents
+@example([("d1", "olma nok"), ("d2", "olma olma nok"), ("d3", "nok")])  # (1, 2) and (1, 1, 1) share (1,)
 def test_sparse_lexicon_matches_dense_oracle(texts):
     table = build_lexicon(load_corpus(texts))
     dense = dense_oracle.build_lexicon([tokenize(text) for _, text in texts])
@@ -80,6 +82,15 @@ def test_sparse_lexicon_matches_dense_oracle(texts):
         table_p = probabilities(weighted)
         assert _per_word(table_p, "probability") == [e.probability for e in dense_p.entries]
         assert words_csv(table_p) == csv_oracle.words_csv(dense_p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sources)
+def test_profile_tree_postings_match_the_list_fold(texts):
+    corpus = load_corpus(texts)
+    expected = dense_oracle.postings([tokenize(text) for _, text in texts])
+    assert list(corpus.postings.items()) == list(expected.items())
+    assert [corpus.profile(node) for node in corpus.profile_of.values()] == list(map(tuple, expected.values()))
 
 
 def test_lexicon_memory_grows_with_postings_not_words_times_documents():
