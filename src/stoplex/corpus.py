@@ -9,9 +9,11 @@ tokens are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
 ½, Ⅻ and ², even where a word pattern matches them together with letters.
 An ASCII text (Uzbek Latin is often typed so, with ' or ` for oʻ/gʻ) takes
-a shorter path that gives the same tokens: it is lowercased whole and
-matched with an ASCII word pattern, since ASCII needs no NFC, its letters
-lowercase one by one and its only numerics are the digits.
+a shorter path that gives the same tokens with no pattern scan: one
+str.translate lowercases its letters and blanks every other character but
+the apostrophes, str.replace blanks each apostrophe that does not sit
+between two letters, and str.split cuts the words. ASCII needs no NFC, its
+letters lowercase one by one and its only numerics are the digits.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import re
 import unicodedata
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -43,9 +45,12 @@ _VARIANT_APOSTROPHES = "'’ʼ`"
 # hide inside a letter run. (U+02BC is a letter too, but never reaches the
 # pattern.)
 _WORD = re.compile(r"[^\W\d_ʻ]+(?:ʻ[^\W\d_ʻ]+)*")
-# _WORD restricted to ASCII text, where [^\W\d_ʻ] is exactly [A-Za-z]; the
-# text is lowercased before matching, so [a-z] is enough.
-_ASCII_WORD = re.compile(r"[a-z]+(?:ʻ[a-z]+)*")
+# On ASCII text [^\W\d_ʻ] is exactly [A-Za-z]: the table lowercases those,
+# writes both ASCII apostrophes as ' and every other code point as a space.
+_ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
+_ASCII_FOLD = {code: " " for code in range(128)} | str.maketrans(
+    _ASCII_LOWER + _ASCII_LOWER.upper() + "'`", _ASCII_LOWER * 2 + "''"
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,17 +67,20 @@ def tokenize(text: str) -> list[str]:
     - Tokens are lowercased (and re-normalized, since lowercasing can
       denormalize in rare cases).
 
-    An ASCII text is lowercased whole and matched with an ASCII word
-    pattern instead, which gives the same tokens: it is already NFC, its
-    only apostrophe variants are ' and `, and ASCII lowercasing maps each
-    letter alone. Only the raw text decides the path, since NFC can turn a
+    An ASCII text takes C-level string methods instead, which give the
+    same tokens: it is already NFC, its only apostrophe variants are ' and
+    `, and ASCII lowercasing maps each letter alone. After _ASCII_FOLD the
+    text holds only a-z, ' and spaces. Blanking doubled apostrophes, then
+    those next to a space, then stripping the ends leaves each remaining
+    apostrophe between two letters, so the space-separated chunks are the
+    words. Only the raw text decides the path, since NFC can turn a
     non-ASCII character into one of those apostrophes (U+1FEF into `).
 
     Any input yields a (possibly empty) token list.
     """
     if text.isascii():
-        text = text.lower().replace("'", CANONICAL_APOSTROPHE)
-        return _ASCII_WORD.findall(text.replace("`", CANONICAL_APOSTROPHE))
+        text = text.translate(_ASCII_FOLD).replace("''", "  ").replace(" '", "  ").replace("' ", "  ")
+        return text.strip("'").replace("'", CANONICAL_APOSTROPHE).split()
     text = unicodedata.normalize("NFC", text)
     for apostrophe in _VARIANT_APOSTROPHES:
         text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
@@ -152,6 +160,13 @@ class Lexicon:
     ``total_count`` from build_lexicon, ``idf`` and ``weight`` from
     apply_weights, ``probability`` from probabilities. A number column stays
     empty until its stage fills it.
+
+    ``members[p]`` is an array("I") of the ascending first indices of
+    profile p's words, the inverse of ``profile_ids``. It is built from
+    ``profile_ids`` when the lexicon is made without it, and dataclasses.replace
+    carries it over, so it is built once per lexicon (a replace that changes
+    ``profile_ids`` must pass ``members=()``). The stages after build_lexicon
+    read a profile's words from it.
     """
 
     surfaces: tuple[str, ...]
@@ -162,6 +177,11 @@ class Lexicon:
     idf: tuple[float, ...] = ()
     weight: tuple[float, ...] = ()
     probability: tuple[float, ...] = ()
+    members: tuple[array, ...] = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.members) != len(self.doc_counts):
+            object.__setattr__(self, "members", _index_lists(self.profile_ids, len(self.doc_counts)))
 
     @property
     def size(self) -> int:
@@ -206,6 +226,15 @@ class Lexicon:
 
     def __iter__(self) -> Iterator[WordEntry]:
         return self.entries
+
+
+def _index_lists(ids: array, n: int) -> tuple[array, ...]:
+    """For each id in range(n), an array("I") of the ascending 1-based positions in ``ids`` that hold it."""
+    lists = tuple(array("I") for _ in range(n))
+    appends = [positions.append for positions in lists]
+    for position, i in enumerate(ids, start=1):
+        appends[i](position)
+    return lists
 
 
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:

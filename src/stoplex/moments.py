@@ -1,45 +1,94 @@
 """Moment statistics of the first-appearance index distribution.
 
 The first-appearance index i of each unique word is treated as a discrete
-random variable with P(i) = p_i. Dispersion uses the direct central sum,
-which is better conditioned than E2 - E1**2 at large N; the third central
-moment uses the raw-moment identity E3 - 3*E1*E2 + 2*E1**3. All sums run
-in ascending index order through math.fsum.
+random variable with P(i) = p_i. A distribution holds its indices in groups
+that share one probability (a lexicon's count profiles), and its sums are
+exact: each group's probability is m / 2**s with one power of two 2**s for
+all groups (float.as_integer_ratio), so E_k = sum of p_i * i**k is the
+integer sum over groups of m times the group's exact sum of i**k, finished
+by one correctly rounded int/int division. Dispersion is the direct central
+sum of p_i * (i - E1)**2 about the float E1, done the same way with E1 read
+as a ratio a/b, so it is also correctly rounded and never negative. The
+third central moment uses the raw-moment identity E3 - 3*E1*E2 + 2*E1**3.
+None of it depends on the order of the groups.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from operator import mul
+from typing import Iterable, Sequence
 
-from .corpus import Lexicon
+from .corpus import Lexicon, _index_lists
 from .errors import DegenerateDistribution, DomainError
 
 #: |asymmetry| at or below this counts as zero for verdict purposes.
 ZERO_SKEW_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers m and one power of two d with values[g] == m[g] / d exactly, for finite floats.
+
+    So sum(c[g] * values[g]) for integers c is exactly sum(c[g] * m[g]) / d,
+    and Python's int / int rounds that quotient correctly.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max((d for _, d in ratios), default=1)  # every d is a power of two, so it divides scale
+    return [m * (scale // d) for m, d in ratios], scale
+
+
+@dataclass(frozen=True, init=False)
 class IndexDistribution:
-    """Probabilities for indices 1..N, in index order."""
+    """Probabilities for indices 1..N, held per group of indices that share one.
 
-    probabilities: tuple[float, ...]
+    Group g has probability ``values[g]`` and the ascending 1-based indices
+    ``members[g]``; index i is in group ``group_of[i - 1]``.
+    IndexDistribution(probabilities) groups per-index probabilities by equal
+    value; density passes a lexicon's count profiles as the groups.
+    """
 
-    def __post_init__(self):
-        probs = tuple(self.probabilities)
-        object.__setattr__(self, "probabilities", probs)
-        if not probs:
+    values: tuple[float, ...]
+    group_of: array  # array("I"): one group per index
+    members: tuple[array, ...]
+
+    def __init__(self, probabilities: Iterable[float]):
+        group: dict[float, int] = {}
+        group_of = array("I", [group.setdefault(p, len(group)) for p in probabilities])
+        self._fill(tuple(group), group_of, _index_lists(group_of, len(group)))
+
+    @classmethod
+    def _from_groups(
+        cls, values: Sequence[float], group_of: array, members: Sequence[array]
+    ) -> IndexDistribution:
+        """The distribution whose group g has probability ``values[g]`` and 1-based indices ``members[g]``."""
+        dist = cls.__new__(cls)
+        dist._fill(tuple(values), group_of, tuple(members))
+        return dist
+
+    def _fill(self, values: tuple[float, ...], group_of: array, members: tuple[array, ...]) -> None:
+        if not group_of:
             raise DomainError("a distribution needs at least one point")
-        for p in probs:
+        for p in values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
-        total = math.fsum(probs)
+        scaled, scale = _dyadic(values)
+        total = sum(map(mul, scaled, map(len, members))) / scale
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "group_of", group_of)
+        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:
-        return len(self.probabilities)
+        return len(self.group_of)
+
+    @property
+    def probabilities(self) -> tuple[float, ...]:
+        """Each index's probability, in index order; made afresh on each call."""
+        return tuple(map(self.values.__getitem__, self.group_of))
 
 
 @dataclass(frozen=True)
@@ -62,29 +111,62 @@ class MomentSummary:
 
 
 def density(lexicon: Lexicon) -> IndexDistribution:
-    """Index distribution of a lexicon with probabilities filled in."""
-    probability = lexicon.column("probability")
-    return IndexDistribution(tuple(map(probability.__getitem__, lexicon.profile_ids)))
+    """Index distribution of a lexicon with probabilities filled in, grouped by count profile.
+
+    It shares the lexicon's profile ids and member lists, so it takes one
+    step per profile, not per word.
+    """
+    return IndexDistribution._from_groups(lexicon.column("probability"), lexicon.profile_ids, lexicon.members)
+
+
+# indices per step of _power_sums: it holds two lists of Python ints (about
+# 40 bytes per index) for one step, where a whole group's, such as the 71 504
+# words of one profile of the benchmark's uz-wide, would raise a run's peak memory
+_POWER_SUM_STEP = 4096
+
+
+def _power_sums(members: Sequence[array]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Per group: its index count and the exact sums of i, i**2 and i**3 over its indices."""
+    counts: list[int] = []
+    sums: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for indices in members:
+        s1 = s2 = s3 = 0
+        for start in range(0, len(indices), _POWER_SUM_STEP):
+            i = indices[start:start + _POWER_SUM_STEP].tolist()
+            squares = list(map(mul, i, i))
+            s1 += sum(i)
+            s2 += sum(squares)
+            s3 += sum(map(mul, squares, i))
+        counts.append(len(indices))
+        sums[0].append(s1)
+        sums[1].append(s2)
+        sums[2].append(s3)
+    return (counts, *sums)
 
 
 def raw_moment(dist: IndexDistribution, k: int) -> float:
-    """k-th raw moment, sum of p_i * i**k, for k in 1..3."""
+    """k-th raw moment, sum of p_i * i**k, for k in 1..3, correctly rounded."""
     if k not in (1, 2, 3):
         raise DomainError(f"raw moment order must be 1, 2 or 3, got {k}")
-    return math.fsum(p * i**k for i, p in enumerate(dist.probabilities, start=1))
+    scaled, scale = _dyadic(dist.values)
+    return sum(map(mul, scaled, _power_sums(dist.members)[k])) / scale
 
 
 def moment_summary(dist: IndexDistribution) -> MomentSummary:
     """Expectation, dispersion, raw moments, third central moment, skew.
 
+    E1, E2, E3 and the dispersion are the exact sums, correctly rounded.
     Zero dispersion, or a sigma**3 that underflows to zero, raises
     DegenerateDistribution: the asymmetry is undefined there and downstream
     verdicts need a real number.
     """
-    e1 = raw_moment(dist, 1)
-    e2 = raw_moment(dist, 2)
-    e3 = raw_moment(dist, 3)
-    dispersion = math.fsum(p * (i - e1) ** 2 for i, p in enumerate(dist.probabilities, start=1))
+    scaled, scale = _dyadic(dist.values)
+    counts, s1, s2, s3 = _power_sums(dist.members)
+    e1, e2, e3 = (sum(map(mul, scaled, s)) / scale for s in (s1, s2, s3))
+    # a group's sum of (i - a/b)**2 is its sum of (b*i - a)**2 over b**2
+    a, b = e1.as_integer_ratio()
+    central = (b * b * s2_g - 2 * a * b * s1_g + a * a * n_g for n_g, s1_g, s2_g in zip(counts, s1, s2))
+    dispersion = sum(map(mul, scaled, central)) / (scale * b * b)
     sigma = math.sqrt(dispersion)
     if sigma**3 == 0.0:  # zero dispersion, or one so small that sigma**3 underflows
         raise DegenerateDistribution(f"sigma**3 is zero at dispersion {dispersion!r}: asymmetry undefined")

@@ -8,7 +8,6 @@ the same data are byte-identical.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -156,23 +155,27 @@ def _scatter(
 
 
 def _first_of_each_value(
-    frame: _Frame, probs: Sequence[float], skip: Sequence[int]
+    frame: _Frame, dist: IndexDistribution, skip: Sequence[int]
 ) -> Iterator[tuple[int, float]]:
     """(index, probability) of the first index of each distinct probability in each pixel column.
 
     Indices are 1-based and ascend; the indices in ``skip`` (ascending) are
     left out. These are all the points _circles could draw of the indices
     1..N, since a later point of a column with an earlier one's probability
-    falls on its pixel.
+    falls on its pixel. A column is walked by its indices' groups; groups
+    that share a probability yield it once, at the first of their indices.
     """
-    for first, end in _columns(frame, 1, len(probs) + 1):
-        column = list(probs[first - 1:end - 1])
+    values = dist.values
+    for first, end in _columns(frame, 1, dist.size + 1):
+        column = dist.group_of[first - 1:end - 1].tolist()
         for i in skip[bisect_left(skip, first):bisect_left(skip, end)]:
             column[i - first] = None
+        seen = set()
         at = 0
-        for value in dict.fromkeys(column):
-            if value is not None:
-                at = column.index(value, at)
+        for group in dict.fromkeys(column):
+            if group is not None and (value := values[group]) not in seen:
+                seen.add(value)
+                at = column.index(group, at)
                 yield first + at, value
 
 
@@ -184,13 +187,13 @@ def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], sum
     The word points are walked per pixel column and distinct probability,
     not per index; the candidates one by one.
     """
-    probs = dist.probabilities
-    frame = _frame(dist.size, max(probs))
+    values, group_of = dist.values, dist.group_of
+    frame = _frame(dist.size, max(p for p, indices in zip(values, dist.members) if indices))
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
         "probability of unique words by first-appearance index", "first-appearance index", frame,
-        _first_of_each_value(frame, probs, sorted(first_indices)),
-        ((i, probs[i - 1]) for i in first_indices), 3,
+        _first_of_each_value(frame, dist, sorted(first_indices)),
+        ((i, values[group_of[i - 1]]) for i in first_indices), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),
     )
 
@@ -205,7 +208,7 @@ def emit_sorted_plot(lexicon: Lexicon, k: int) -> str:
     """
     probability = lexicon.column("probability")
     runs = sorted(
-        ((probability[pid], count) for pid, count in Counter(lexicon.profile_ids).items()), reverse=True
+        ((value, len(words)) for value, words in zip(probability, lexicon.members) if words), reverse=True
     )
     values, counts = zip(*runs) if runs else ((), ())
     starts = list(accumulate(counts, initial=1))  # each run's first rank

@@ -14,7 +14,6 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -195,9 +194,14 @@ def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[i
 _WORDS_CSV_BATCH = 4096
 
 
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.writer's minimal quoting with a "\n" line end quotes a field holding ``text``."""
+    return "," in text or '"' in text or "\n" in text
+
+
 def _csv_field(text: str) -> str:
     """A CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
-    if "," in text or '"' in text or "\n" in text:
+    if _needs_quotes(text):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -217,7 +221,9 @@ def _words_csv_chunks(lexicon: Lexicon) -> Iterator[str]:
     The doc_frequency, idf, weight and probability fields depend only on
     the word's count profile, so their text is rendered once per profile,
     here at call time: an unfilled column raises DomainError before any
-    chunk is taken.
+    chunk is taken. Whether a surface needs quoting is checked once per
+    batch, on the batch's surfaces joined, and per surface only in a batch
+    where some surface does.
     """
     numbers = [
         f"{len(counts)},{idf!r},{weight!r},{probability!r}\n"
@@ -228,12 +234,14 @@ def _words_csv_chunks(lexicon: Lexicon) -> Iterator[str]:
 
     def chunks() -> Iterator[str]:
         yield "word,first_index,doc_frequency,idf,weight,probability\n"
-        rows = enumerate(zip(lexicon.surfaces, lexicon.profile_ids), start=1)
-        while batch := [
-            f"{_csv_field(surface)},{first_index},{numbers[pid]}"
-            for first_index, (surface, pid) in islice(rows, _WORDS_CSV_BATCH)
-        ]:
-            yield "".join(batch)
+        surfaces, profile_ids = lexicon.surfaces, lexicon.profile_ids
+        for start in range(0, len(surfaces), _WORDS_CSV_BATCH):
+            stop = start + _WORDS_CSV_BATCH
+            fields = surfaces[start:stop]
+            if _needs_quotes("".join(fields)):
+                fields = map(_csv_field, fields)
+            rows = zip(range(start + 1, stop + 1), fields, profile_ids[start:stop])
+            yield "".join([f"{surface},{first_index},{numbers[pid]}" for first_index, surface, pid in rows])
 
     return chunks()
 

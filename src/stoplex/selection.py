@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator
 
 from .corpus import Lexicon, WordEntry
 from .errors import DomainError
@@ -73,11 +74,12 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     grouped by those values, never by id: profiles that are permutations
     of each other, such as (1, 3) and (3, 1), are distinct rows with equal
     numbers. Whole groups are taken in ascending order while they fit, and
-    only the words of the last group are ranked, by surface.
+    only the words of the last group are ranked, by surface. A group's
+    words are its profiles' member lists, joined.
     """
     k = candidate_count(lexicon.size, fraction)
     probability = lexicon.column("probability")
-    words = Counter(lexicon.profile_ids)
+    words = list(map(len, lexicon.members))
     groups: dict[tuple[float, int], list[int]] = {}
     for pid, key in enumerate(zip(probability, lexicon.total_count)):
         groups.setdefault(key, []).append(pid)
@@ -89,15 +91,13 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
             break
         taken += size
 
-    rank = {pid: r for r, key in enumerate(keys[: last + 1]) for pid in groups[key]}
-    members: list[list[int]] = [[] for _ in range(last + 1)]  # word positions per group
-    for position, pid in enumerate(lexicon.profile_ids):
-        r = rank.get(pid)
-        if r is not None:
-            members[r].append(position)
+    def positions(key: tuple[float, int]) -> Iterator[int]:
+        """The 0-based positions (first index - 1) of a group's words, in no particular order."""
+        return map((-1).__add__, chain.from_iterable(lexicon.members[pid] for pid in groups[key]))
+
     by_surface = lexicon.surfaces.__getitem__
-    picked = [position for group in members[:last] for position in sorted(group, key=by_surface)]
-    picked += heapq.nsmallest(k - taken, members[last], key=by_surface)
+    picked = [position for key in keys[:last] for position in sorted(positions(key), key=by_surface)]
+    picked += heapq.nsmallest(k - taken, positions(keys[last]), key=by_surface)
     candidates = tuple(map(lexicon.row, picked))
 
     threshold = candidates[-1].probability

@@ -5,11 +5,13 @@ containing the word. A word's weight is its average per-document tf*idf;
 by default the average runs over all n documents, with absent documents
 contributing zero. Probabilities are weights normalized to sum to one.
 
-Every sum goes through math.fsum. A weight is summed once per count
-profile, over its counts in document order; the normalizing total runs
-over every word's weight in first_index order. That keeps the probability
-normalization error within 1e-12 and makes results independent of any
-evaluation schedule.
+Every sum is correctly rounded. A weight is summed once per count profile,
+with math.fsum over its counts in document order. The normalizing total is
+the exact sum of every word's weight, computed per profile as its word count
+times its weight and rounded once, so it equals math.fsum over the N
+per-word weights bit for bit. That keeps the probability normalization
+error within 1e-12 and makes results independent of any evaluation
+schedule.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from enum import Enum
+from operator import mul
 
 from .corpus import Lexicon
 from .errors import AllZeroWeights, DomainError
+from .moments import _dyadic
 
 
 class AveragingMode(str, Enum):
@@ -66,15 +70,16 @@ def apply_weights(
 def probabilities(lexicon: Lexicon) -> Lexicon:
     """Return the lexicon with its probability column filled.
 
-    The normalizing total is fsum over every word's weight in first_index
-    order, one term per word. Raises AllZeroWeights when it is zero, which
-    happens exactly when every word occurs in every document: such a
-    corpus carries no tf-idf signal and cannot be analyzed by this method.
+    The normalizing total is the exact sum over profiles of the profile's
+    word count times its weight, rounded once. Raises AllZeroWeights when
+    it is zero, which happens exactly when every word occurs in every
+    document: such a corpus carries no tf-idf signal and cannot be analyzed
+    by this method.
     """
-    weight = lexicon.column("weight")
-    total = math.fsum(map(weight.__getitem__, lexicon.profile_ids))
+    scaled, scale = _dyadic(lexicon.column("weight"))
+    total = sum(map(mul, scaled, map(len, lexicon.members))) / scale
     if total <= 0.0:
         raise AllZeroWeights(
             "all weights are zero (every word occurs in every document)"
         )
-    return replace(lexicon, probability=tuple(w / total for w in weight))
+    return replace(lexicon, probability=tuple(w / total for w in lexicon.weight))

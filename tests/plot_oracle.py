@@ -3,7 +3,9 @@
 Both send every one of the N points through ``_circles``, which draws at
 most one circle per (class, pixel). The package now walks pixel columns and
 distinct probabilities instead; tests require the two to produce the same
-bytes. The frame, circle and number helpers are the package's own.
+bytes. The density plot takes the per-index probability tuple that density
+used to build, not an IndexDistribution. The frame, circle and number
+helpers are the package's own.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
-from stoplex import IndexDistribution, Lexicon, MomentSummary
+from stoplex import Lexicon, MomentSummary
 from stoplex.plots import (
     _AXIS_COLOR,
     _CANDIDATE_COLOR,
@@ -82,18 +84,17 @@ def _scatter(
     return "\n".join(parts)
 
 
-def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], summary: MomentSummary) -> str:
-    """Scatter of (index, probability) with the candidates' first indices and E, E+-sigma marked.
+def emit_density_plot(probs: Sequence[float], first_indices: Sequence[int], summary: MomentSummary) -> str:
+    """Scatter of (index, probs[index - 1]) with the candidates' first indices and E, E+-sigma marked.
 
     Candidate points are drawn on top in a second color; dashed reference
     lines sit at E - sigma, E and E + sigma (clamped into the index range).
     """
-    probs = dist.probabilities
     candidate_indices = set(first_indices)
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
         "probability of unique words by first-appearance index", "first-appearance index",
-        dist.size, max(probs),
+        len(probs), max(probs),
         ((i, p) for i, p in enumerate(probs, start=1) if i not in candidate_indices),
         ((i, probs[i - 1]) for i in first_indices), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),

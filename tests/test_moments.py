@@ -1,11 +1,18 @@
 import math
+import random
+import tracemalloc
+from array import array
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import stoplex.moments
 from stoplex import (
     DegenerateDistribution,
     DomainError,
     IndexDistribution,
+    Lexicon,
     MomentSummary,
     apply_weights,
     build_lexicon,
@@ -16,6 +23,8 @@ from stoplex import (
     probabilities,
     raw_moment,
 )
+
+from conftest import eight_profile_corpus
 
 TOY_P = (0.375, 0.25, 0.375)
 
@@ -188,3 +197,93 @@ def test_consistency_passes_for_computed_summaries(toy_lexicon):
     s = moment_summary(density(lexicon))
     assert check_table_consistency(s) == []
     assert check_table_consistency(s, sigma_cubed=s.std_dev**3) == []
+
+
+# --- exact sums against a Fraction oracle ------------------------------------
+
+
+def exact_moments(probs) -> list[float]:
+    """E1, E2, E3 and D of per-index probabilities: exact rationals, rounded once by float().
+
+    D is the central sum about the float E1, as moment_summary defines it.
+    """
+    points = [(i, Fraction(p)) for i, p in enumerate(probs, start=1) if p]
+    e1, e2, e3 = (sum(p * i**k for i, p in points) for k in (1, 2, 3))
+    center = Fraction(float(e1))
+    dispersion = sum(p * (i - center) ** 2 for i, p in points)
+    return [float(value) for value in (e1, e2, e3, dispersion)]
+
+
+def computed_moments(dist: IndexDistribution) -> list[float]:
+    s = moment_summary(dist)
+    assert [raw_moment(dist, k) for k in (1, 2, 3)] == [s.raw_moment_1, s.raw_moment_2, s.raw_moment_3]
+    return [s.raw_moment_1, s.raw_moment_2, s.raw_moment_3, s.dispersion]
+
+
+# a few weights, each drawn for many indices, so groups of equal probability
+# span scattered indices
+weight_pools = st.lists(st.floats(min_value=1e-8, max_value=1e8), min_size=2, max_size=6)
+
+
+@st.composite
+def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
+    """A weight per group, and the group of each index; every group has an index."""
+    weights = draw(weight_pools)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(len(weights), max_size))
+    groups = list(range(len(weights))) + [rng.randrange(len(weights)) for _ in range(n - len(weights))]
+    rng.shuffle(groups)
+    return weights, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_weights())
+@example(([1.0, 3.0], [0, 1, 0, 1, 0]))
+@example(([1e-8, 1e8], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # mass at both ends
+@example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
+def test_distribution_moments_are_the_exact_sums_rounded_once(case):
+    weights, groups = case
+    total = math.fsum(weights[g] for g in groups)
+    probs = [weights[g] / total for g in groups]
+    dist = IndexDistribution(probs)
+    expected = exact_moments(probs)
+    assert computed_moments(dist) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
+        assert computed_moments(dist) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_weights())
+@example(([1.0, 2.0], [0, 0, 1, 1]))
+@example(([2.0, 2.0, 5.0], [0, 1, 2, 1, 0]))  # two profiles with one probability
+def test_density_moments_are_the_exact_sums_rounded_once(case):
+    weights, profile_ids = case
+    lexicon = probabilities(
+        Lexicon(
+            surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
+            profile_ids=array("I", profile_ids),
+            doc_counts=tuple((pid + 1,) for pid in range(len(weights))),
+            total_count=tuple(range(1, len(weights) + 1)),
+            doc_count=2,
+            idf=(1.0,) * len(weights),
+            weight=tuple(weights),
+        )
+    )
+    probs = [lexicon.probability[pid] for pid in profile_ids]
+    assert computed_moments(density(lexicon)) == exact_moments(probs)
+
+
+def test_density_retains_under_one_byte_per_word():
+    n_words = 100_000
+    lexicon = probabilities(apply_weights(build_lexicon(eight_profile_corpus(n_words))))
+    tracemalloc.start()
+    try:
+        dist = density(lexicon)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.size == n_words
+    # it shares the lexicon's profile ids and member lists; a per-index tuple
+    # of probabilities alone would keep 8 bytes per word
+    assert retained / n_words < 1

@@ -257,7 +257,9 @@ SIZES = st.integers(1, 20_000)
 def assert_plots_match_oracle(lexicon, indices):
     dist = density(lexicon)
     summary = MomentSummary((dist.size + 1) / 2, 0.0, dist.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert emit_density_plot(dist, indices, summary) == plot_oracle.emit_density_plot(dist, indices, summary)
+    # the per-index tuple density built before it grouped indices by profile
+    probs = tuple(map(lexicon.probability.__getitem__, lexicon.profile_ids))
+    assert emit_density_plot(dist, indices, summary) == plot_oracle.emit_density_plot(probs, indices, summary)
     k = len(indices)
     assert emit_sorted_plot(lexicon, k) == plot_oracle.emit_sorted_plot(lexicon, k)
 

@@ -162,6 +162,11 @@ def permuted_profile_texts(draw) -> list[str]:
 @settings(max_examples=200, deadline=None)
 @given(permuted_profile_texts())
 @example(["b a a a c", "b b b a", "c"])  # "b" has the profile (1, 3), "a" (3, 1)
+# "a" and "c" have the profile (1, 2), "b" and "d" (2, 1): one group of four
+# words over two profiles, whose first indices interleave
+@example(["a b b d d", "a a b c", "c c d e e e"])
+# four permutations of (1, 2, 3), each a profile of its own, in one group
+@example(["a b b b d d", "a a b b c c c", "a a a b c d d d", "c c d e"])
 def test_selection_ranks_permuted_profiles_together(texts):
     for mode in AveragingMode:
         lexicon = probabilities(

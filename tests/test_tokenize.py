@@ -113,8 +113,9 @@ def test_tokenize_matches_reference_scanner(text):
     assert tokenize(text) == scanner_oracle.tokenize(text)
 
 
-# The ASCII path: a text of code points below 128 is lowercased whole and
-# matched with an ASCII pattern. The suite above rarely draws such a text.
+# The ASCII path: a text of code points below 128 goes through translate,
+# replace, strip and split, not the word pattern. The suite above rarely
+# draws such a text.
 ASCII_PIECES = ["'", "`", "''", "`'", "O'", "g`", "_", "7", "\x00", "\t"]
 ascii_texts = st.lists(
     st.one_of(st.sampled_from(ASCII_PIECES), st.characters(max_codepoint=127)), max_size=40
@@ -127,6 +128,11 @@ ascii_texts = st.lists(
 @example("'a''b'")
 @example("I'M")
 @example("a_b7c")
+@example("a'''b")  # a doubled apostrophe, then a single one after it
+@example("' a' 'b '")  # apostrophes next to spaces
+@example("`'x'`")  # both variants, at both ends
+@example("it's rock'n'roll don''t")
+@example("a\x0bb\x1cc\x0b\x1c")  # separators that str.split also cuts at
 def test_ascii_tokenize_matches_reference_scanner(text):
     assert text.isascii()
     assert tokenize(text) == scanner_oracle.tokenize(text)

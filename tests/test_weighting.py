@@ -1,19 +1,25 @@
 import itertools
 import math
+import random
+from array import array
 from dataclasses import replace
+from operator import mul
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stoplex import (
     AllZeroWeights,
     AveragingMode,
     DomainError,
+    Lexicon,
     apply_weights,
     build_lexicon,
     inverse_document_frequency,
     load_corpus,
     probabilities,
 )
+from stoplex.moments import _dyadic
 
 LN_3_OVER_2 = math.log(3 / 2)
 
@@ -121,3 +127,48 @@ def test_entries_share_floats_per_count_profile(mode):
     assert len(profiles) == len(lexicon.doc_counts) == 4 < lexicon.size == 51
     assert len({id(e.weight) for e in lexicon}) == len(profiles)
     assert len({id(e.probability) for e in lexicon}) == len(profiles)
+
+
+def test_weighting_stages_carry_the_member_lists_over(toy_lexicon):
+    assert toy_lexicon.members == (array("I", [1]), array("I", [2]), array("I", [3]))
+    weighted = apply_weights(toy_lexicon)
+    assert weighted.members is toy_lexicon.members
+    assert probabilities(weighted).members is toy_lexicon.members
+
+
+# --- the normalizing total: exact per profile, equal to fsum over every word ---
+
+SUBNORMAL_AND_EXTREME = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0, 0.1, 1e300]
+profile_weights = st.lists(
+    st.one_of(st.sampled_from(SUBNORMAL_AND_EXTREME), st.floats(min_value=0.0, max_value=1e300)),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile_weights, st.integers(0, 2**32 - 1))
+@example([1e300, 1.0, 1e-300], 0)
+@example([5e-324, 5e-324, 1e-310], 1)  # subnormal only
+@example([0.1, 0.2, 0.3], 2)  # decimal weights whose fsum differs from a plain sum
+def test_probability_total_is_fsum_over_every_word(weights, seed):
+    rng = random.Random(seed)
+    profile_ids = list(range(len(weights))) + [rng.randrange(len(weights)) for _ in range(rng.randrange(200))]
+    rng.shuffle(profile_ids)
+    expanded = [weights[pid] for pid in profile_ids]
+    total = math.fsum(expanded)
+    assume(total > 0.0)
+    lexicon = Lexicon(
+        surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
+        profile_ids=array("I", profile_ids),
+        doc_counts=tuple((pid + 1,) for pid in range(len(weights))),
+        total_count=tuple(range(1, len(weights) + 1)),
+        doc_count=2,
+        idf=(1.0,) * len(weights),
+        weight=tuple(weights),
+    )
+    # the total as probabilities computes it, bit for bit
+    scaled, scale = _dyadic(weights)
+    exact = sum(map(mul, scaled, map(len, lexicon.members))) / scale
+    assert exact.hex() == total.hex()
+    assert probabilities(lexicon).probability == tuple(w / total for w in weights)

@@ -135,3 +135,17 @@ def test_writing_words_csv_holds_a_small_fraction_of_the_file(tmp_path, monkeypa
     # measured on CPython 3.11: 0.16 of the 7.4 MB file; rendering the file
     # whole, as one str next to its row list and UTF-8 copy, took 2.8 times it
     assert peak <= 0.5 * size
+
+
+def test_quoting_is_decided_per_batch(monkeypatch):
+    # batches of two rows; only rows of the third and fourth batches need quotes
+    monkeypatch.setattr(stoplex.report, "_WORDS_CSV_BATCH", 2)
+    words = [("olma", 0), ("nok", 1), ("uzum", 0), ("anor", 1), ('a"b', 0), ("til", 1), ("x,y", 0)]
+    lexicon = _lexicon(words, [(2, 1.5, 0.5, 0.25), (1, 0.0, NEG_ZERO, 5e-324)])
+    chunks = list(_words_csv_chunks(lexicon))
+    assert "".join(chunks) == csv_oracle.words_csv(lexicon)
+    assert chunks[2:] == [
+        "uzum,3,2,1.5,0.5,0.25\nanor,4,1,0.0,-0.0,5e-324\n",
+        '"a""b",5,2,1.5,0.5,0.25\ntil,6,1,0.0,-0.0,5e-324\n',
+        '"x,y",7,2,1.5,0.5,0.25\n',
+    ]
