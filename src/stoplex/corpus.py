@@ -98,52 +98,30 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Per-word counts of an ordered collection of documents, as a tree of count profiles.
+    """Per-word counts of an ordered collection of documents.
 
-    A word's count profile is its non-zero per-document counts in document
-    order. ``profile_of`` maps each distinct token, in order of first
-    appearance, to the node of its profile. Node n > 0 is the profile of
-    node ``parents[n]`` with ``counts[n]`` appended; node 0 is the empty
-    profile. Words that reach the same profile within one document share a
-    node, so the corpus holds no list per word.
+    ``counts_of`` maps each distinct token, in order of first appearance, to
+    its (doc frequency, total count) pair: how many documents hold it and how
+    often it occurs in all of them. Those two numbers are all that the
+    weighting reads of a word's counts.
     """
 
-    profile_of: dict[str, int]
-    parents: array  # array("I"), indexed by node
-    counts: array  # array("I"), indexed by node
+    counts_of: dict[str, tuple[int, int]]
     doc_count: int
     token_total: int
-
-    def profile(self, node: int) -> tuple[int, ...]:
-        """The count profile that ``node`` ends, read by walking up to the root."""
-        parents, counts = self.parents, self.counts
-        profile = []
-        while node:
-            profile.append(counts[node])
-            node = parents[node]
-        profile.reverse()
-        return tuple(profile)
-
-    @property
-    def postings(self) -> dict[str, list[int]]:
-        """Each token, in first-appearance order, with its profile as a list; made afresh on each call."""
-        return {token: list(self.profile(node)) for token, node in self.profile_of.items()}
 
 
 class WordEntry(NamedTuple):
     """A row view of one lexicon word: its surface and index plus its profile's row.
 
-    ``doc_counts`` holds the word's non-zero per-document counts in document
-    order, so ``doc_frequency == len(doc_counts)`` and
-    ``total_count == sum(doc_counts)``. ``idf``, ``weight`` and
-    ``probability`` are None while the lexicon's column is unfilled.
+    ``idf``, ``weight`` and ``probability`` are None while the lexicon's
+    column is unfilled.
     """
 
     surface: str
     first_index: int  # 1-based rank by first appearance
     doc_frequency: int
     total_count: int
-    doc_counts: tuple[int, ...]
     idf: float | None
     weight: float | None
     probability: float | None
@@ -153,13 +131,13 @@ class WordEntry(NamedTuple):
 class Lexicon:
     """Unique words in first-appearance order over a table of count profiles.
 
-    A word's count profile is its ``doc_counts``; most words share theirs
-    with many others. Word k (first_index k + 1) is ``surfaces[k]`` with
-    profile ``profile_ids[k]``. The table has one row per distinct profile,
-    stored by column and indexed by profile id: ``doc_counts`` and
-    ``total_count`` from build_lexicon, ``idf`` and ``weight`` from
-    apply_weights, ``probability`` from probabilities. A number column stays
-    empty until its stage fills it.
+    A word's count profile is its (doc_frequency, total_count) pair; most
+    words share theirs with many others. Word k (first_index k + 1) is
+    ``surfaces[k]`` with profile ``profile_ids[k]``. The table has one row
+    per distinct profile, stored by column and indexed by profile id:
+    ``doc_frequency`` and ``total_count`` from build_lexicon, ``idf`` and
+    ``weight`` from apply_weights, ``probability`` from probabilities. A
+    number column stays empty until its stage fills it.
 
     ``members[p]`` is an array("I") of the ascending first indices of
     profile p's words, the inverse of ``profile_ids``. It is built from
@@ -171,7 +149,7 @@ class Lexicon:
 
     surfaces: tuple[str, ...]
     profile_ids: array  # array("I"): one profile id per word
-    doc_counts: tuple[tuple[int, ...], ...]
+    doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
     doc_count: int  # documents in the corpus the words were counted in
     idf: tuple[float, ...] = ()
@@ -180,8 +158,8 @@ class Lexicon:
     members: tuple[array, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.members) != len(self.doc_counts):
-            object.__setattr__(self, "members", _index_lists(self.profile_ids, len(self.doc_counts)))
+        if len(self.members) != len(self.total_count):
+            object.__setattr__(self, "members", _index_lists(self.profile_ids, len(self.total_count)))
 
     @property
     def size(self) -> int:
@@ -193,17 +171,15 @@ class Lexicon:
         Raises DomainError while the stage that fills it has not run.
         """
         values = getattr(self, name)
-        if len(values) != len(self.doc_counts):
+        if len(values) != len(self.total_count):
             raise DomainError(f"the {name} column is unset; the weighting step fills it")
         return values
 
     def _profile_row(self, pid: int) -> tuple:
         """The WordEntry fields after first_index of the words with profile ``pid``."""
-        counts = self.doc_counts[pid]
         return (
-            len(counts),
+            self.doc_frequency[pid],
             self.total_count[pid],
-            counts,
             self.idf[pid] if self.idf else None,
             self.weight[pid] if self.weight else None,
             self.probability[pid] if self.probability else None,
@@ -218,7 +194,7 @@ class Lexicon:
     @property
     def entries(self) -> Iterator[WordEntry]:
         """Every word as a WordEntry row, in first_index order, made afresh on each call."""
-        profiles = [self._profile_row(pid) for pid in range(len(self.doc_counts))]
+        profiles = [self._profile_row(pid) for pid in range(len(self.total_count))]
         return (
             WordEntry(surface, first_index, *profiles[pid])
             for first_index, (surface, pid) in enumerate(zip(self.surfaces, self.profile_ids), start=1)
@@ -240,36 +216,28 @@ def _index_lists(ids: array, n: int) -> tuple[array, ...]:
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     """Build a corpus from ordered (name, text) pairs.
 
-    Each document is counted as it is tokenized, and each of its words
-    steps from its profile node to a child that appends its count. The
-    words that step from one node with one count share the child, through
-    a lookup that lives for one document. So the corpus keeps one string
-    and one node id per distinct token, plus the nodes. Bytes decode as
-    UTF-8; a bad source raises DecodeError naming it. Zero sources raise
-    EmptyCorpus.
+    Each document is counted as it is tokenized, and each of its words adds
+    one document and its count to the word's (doc frequency, total count)
+    pair. The words of one document that reach the same pair share one
+    tuple, through a lookup that lives for that document only. So the corpus
+    keeps one string and one pair per distinct token, and its memory does
+    not grow with the (word, document) pairs. Bytes decode as UTF-8; a bad
+    source raises DecodeError naming it. Zero sources raise EmptyCorpus.
     """
-    profile_of: dict[str, int] = {}
-    parents = array("I", [0])
-    counts = array("I", [0])
+    counts_of: dict[str, tuple[int, int]] = {}
     doc_count = token_total = 0
     for name, blob in sources:
         tokens = tokenize(_decode(name, blob) if isinstance(blob, bytes) else blob)
-        # count -> {parent node: child node}, for this document's steps only
-        child: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        shared: dict[tuple[int, int], tuple[int, int]] = {}
         for token, count in Counter(tokens).items():
-            parent = profile_of.get(token, 0)
-            siblings = child[count]
-            node = siblings.get(parent)
-            if node is None:
-                node = siblings[parent] = len(parents)
-                parents.append(parent)
-                counts.append(count)
-            profile_of[token] = node
+            doc_frequency, total = counts_of.get(token, (0, 0))
+            pair = (doc_frequency + 1, total + count)
+            counts_of[token] = shared.setdefault(pair, pair)
         doc_count += 1
         token_total += len(tokens)
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
-    return Corpus(profile_of, parents, counts, doc_count, token_total)
+    return Corpus(counts_of, doc_count, token_total)
 
 
 def _decode(name: str, blob: bytes) -> str:
@@ -314,16 +282,17 @@ def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """The corpus's words in first-appearance order over their count profiles.
 
-    ``profile_of`` is already in first-appearance order, and a profile's
-    counts are in document order, so indices never depend on scheduling.
-    Each distinct end node is walked up once, in order of its first word,
-    and profile ids number the distinct profiles in order of their first
-    word. The number columns stay empty; the weighting step fills them.
+    ``counts_of`` is already in first-appearance order, so indices never
+    depend on scheduling. Profile ids number the distinct (doc frequency,
+    total count) pairs in order of their first word. The number columns
+    stay empty; the weighting step fills them.
     """
-    ids: defaultdict[tuple[int, ...], int] = defaultdict(itertools.count().__next__)
-    pid_of = {node: ids[corpus.profile(node)] for node in dict.fromkeys(corpus.profile_of.values())}
-    profile_ids = array("I", map(pid_of.__getitem__, corpus.profile_of.values()))
-    doc_counts = tuple(ids)
+    ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
+    profile_ids = array("I", map(ids.__getitem__, corpus.counts_of.values()))
     return Lexicon(
-        tuple(corpus.profile_of), profile_ids, doc_counts, tuple(map(sum, doc_counts)), corpus.doc_count
+        tuple(corpus.counts_of),
+        profile_ids,
+        tuple(doc_frequency for doc_frequency, _ in ids),
+        tuple(total for _, total in ids),
+        corpus.doc_count,
     )

@@ -2,9 +2,10 @@
 
 The first-appearance index i of each unique word is treated as a discrete
 random variable with P(i) = p_i. A distribution holds its indices in groups
-that share one probability (a lexicon's count profiles), and its sums are
-exact: each group's probability is m / 2**s with one power of two 2**s for
-all groups (float.as_integer_ratio), so E_k = sum of p_i * i**k is the
+that share one probability (a lexicon's count profiles: the words with one
+doc frequency and one total count), and its sums are exact: each group's
+probability is m / 2**s with one power of two 2**s for all groups
+(float.as_integer_ratio), so E_k = sum of p_i * i**k is the
 integer sum over groups of m times the group's exact sum of i**k, finished
 by one correctly rounded int/int division. Dispersion is the direct central
 sum of p_i * (i - E1)**2 about the float E1, done the same way with E1 read
@@ -84,11 +85,6 @@ class IndexDistribution:
     @property
     def size(self) -> int:
         return len(self.group_of)
-
-    @property
-    def probabilities(self) -> tuple[float, ...]:
-        """Each index's probability, in index order; made afresh on each call."""
-        return tuple(map(self.values.__getitem__, self.group_of))
 
 
 @dataclass(frozen=True)

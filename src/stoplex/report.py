@@ -226,9 +226,9 @@ def _words_csv_chunks(lexicon: Lexicon) -> Iterator[str]:
     where some surface does.
     """
     numbers = [
-        f"{len(counts)},{idf!r},{weight!r},{probability!r}\n"
-        for counts, idf, weight, probability in zip(
-            lexicon.doc_counts, *map(lexicon.column, ("idf", "weight", "probability"))
+        f"{doc_frequency},{idf!r},{weight!r},{probability!r}\n"
+        for doc_frequency, idf, weight, probability in zip(
+            lexicon.doc_frequency, *map(lexicon.column, ("idf", "weight", "probability"))
         )
     ]
 
@@ -255,7 +255,11 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     rows and the others whole, and only when every one is written do they
     replace the final names. A failed run leaves earlier outputs as they
     were and no temporary files, and removes the directories it created.
+    An output directory that cannot be made, because a file sits where one
+    of its directories should be, fails before any work is done.
     """
+    with _stage("output_dir"):
+        _check_output_dir(Path(config.output_dir))
     with _stage("load_corpus"):
         files = collect_input_files(config.inputs, config.order)
         corpus = load_corpus_from_paths(files)
@@ -264,7 +268,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     token_total = corpus.token_total
     with _stage("build_lexicon"):
         lexicon = build_lexicon(corpus)
-    del corpus  # later stages read only the lexicon; this frees the profile tree's dict and arrays
+    del corpus  # later stages read only the lexicon; this frees the corpus's dict of pairs
     with _stage("weights"):
         lexicon = apply_weights(lexicon, config.averaging)
     with _stage("probabilities"):
@@ -306,6 +310,16 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     with _stage("write_outputs"):
         _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])
     return report
+
+
+def _check_output_dir(out_dir: Path) -> None:
+    """Raise NotADirectoryError unless the nearest existing one of ``out_dir`` and its parents is a directory.
+
+    It creates nothing, so a run that fails later leaves no output directory.
+    """
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"cannot make output directory {out_dir}: {existing} is not a directory")
 
 
 def _output_names(config: RunConfig) -> tuple[str, ...]:

@@ -71,10 +71,10 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     among the selected words.
 
     Probability and total count are profile values, so profiles are
-    grouped by those values, never by id: profiles that are permutations
-    of each other, such as (1, 3) and (3, 1), are distinct rows with equal
-    numbers. Whole groups are taken in ascending order while they fit, and
-    only the words of the last group are ranked, by surface. A group's
+    grouped by those values, never by id: distinct profiles may still share
+    both (a weight is a rounded float, and a hand-made lexicon's rows are
+    arbitrary). Whole groups are taken in ascending order while they fit,
+    and only the words of the last group are ranked, by surface. A group's
     words are its profiles' member lists, joined.
     """
     k = candidate_count(lexicon.size, fraction)

@@ -5,13 +5,13 @@ containing the word. A word's weight is its average per-document tf*idf;
 by default the average runs over all n documents, with absent documents
 contributing zero. Probabilities are weights normalized to sum to one.
 
-Every sum is correctly rounded. A weight is summed once per count profile,
-with math.fsum over its counts in document order. The normalizing total is
-the exact sum of every word's weight, computed per profile as its word count
-times its weight and rounded once, so it equals math.fsum over the N
-per-word weights bit for bit. That keeps the probability normalization
-error within 1e-12 and makes results independent of any evaluation
-schedule.
+Every sum is correctly rounded. idf is fixed per word, so a word's sum of
+tf*idf over the documents is idf times its total count: one product,
+rounded once, per count profile. The normalizing total is the exact sum of
+every word's weight, computed per profile as its word count times its
+weight and rounded once, so it equals math.fsum over the N per-word weights
+bit for bit. That keeps the probability normalization error within 1e-12
+and makes results independent of any evaluation schedule.
 """
 
 from __future__ import annotations
@@ -51,18 +51,19 @@ def apply_weights(
 ) -> Lexicon:
     """Return the lexicon with its idf and weight columns filled.
 
-    A profile's weight is fsum(count * idf) over its non-zero per-document
-    counts, divided by n (ALL_DOCS) or m (CONTAINING_DOCS). Documents
-    without the word would only add exact zeros to that sum. Both numbers
-    are computed once per count profile; any probability column is cleared.
+    A profile's weight is idf * total_count, the exact sum of count * idf
+    over its documents rounded once, divided by n (ALL_DOCS) or m
+    (CONTAINING_DOCS). Documents without the word would only add exact
+    zeros to that sum. Both numbers are computed once per count profile;
+    any probability column is cleared.
     """
     mode = AveragingMode(mode)
     n_docs = lexicon.doc_count
     all_docs = mode is AveragingMode.ALL_DOCS
-    idf = tuple(inverse_document_frequency(n_docs, len(counts)) for counts in lexicon.doc_counts)
+    idf = tuple(inverse_document_frequency(n_docs, m) for m in lexicon.doc_frequency)
     weight = tuple(
-        math.fsum([count * profile_idf for count in counts]) / (n_docs if all_docs else len(counts))
-        for counts, profile_idf in zip(lexicon.doc_counts, idf)
+        profile_idf * total / (n_docs if all_docs else m)
+        for m, total, profile_idf in zip(lexicon.doc_frequency, lexicon.total_count, idf)
     )
     return replace(lexicon, idf=idf, weight=weight, probability=())
 

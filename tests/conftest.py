@@ -38,11 +38,12 @@ def letter_code(number: int) -> str:
             return code
 
 
-def eight_profile_documents(n_words: int) -> list[tuple[str, str]]:
-    """(name, text) of 4 documents holding ``n_words`` words over 8 count profiles.
+def six_profile_documents(n_words: int) -> list[tuple[str, str]]:
+    """(name, text) of 4 documents holding ``n_words`` words over 6 count profiles.
 
     Word j occurs j % 3 + 1 times in document j % 4, and odd words once more
-    in the next document.
+    in the next document: (doc frequency, total count) is (1, j % 3 + 1) for
+    even words and (2, j % 3 + 2) for odd ones.
     """
     n_docs = 4
     documents = [[] for _ in range(n_docs)]
@@ -54,23 +55,29 @@ def eight_profile_documents(n_words: int) -> list[tuple[str, str]]:
     return [(f"d{d}", " ".join(words)) for d, words in enumerate(documents)]
 
 
-def eight_profile_corpus(n_words: int):
-    """The corpus of ``eight_profile_documents(n_words)``."""
-    return load_corpus(eight_profile_documents(n_words))
+def six_profile_corpus(n_words: int):
+    """The corpus of ``six_profile_documents(n_words)``."""
+    return load_corpus(six_profile_documents(n_words))
+
+
+def index_probabilities(dist) -> tuple[float, ...]:
+    """Each index's probability in ``dist``, in index order."""
+    return tuple(map(dist.values.__getitem__, dist.group_of))
 
 
 def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
     """Synthetic lexicon with given probabilities, for selector/position tests.
 
-    Word k gets a count profile of its own, (counts[k],) by default (1,),
-    with idf 1.0 and both weight and probability probabilities[k].
+    Word k gets a count profile of its own, doc frequency 1 and total
+    counts[k] (by default 1), with idf 1.0 and both weight and probability
+    probabilities[k].
     """
     n = len(probabilities)
     totals = tuple(counts) if counts is not None else (1,) * n
     return Lexicon(
         surfaces=tuple(surfaces) if surfaces is not None else tuple(f"w{k:06d}" for k in range(1, n + 1)),
         profile_ids=array("I", range(n)),
-        doc_counts=tuple((total,) for total in totals),
+        doc_frequency=(1,) * n,
         total_count=totals,
         doc_count=2,
         idf=(1.0,) * n,

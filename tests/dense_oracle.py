@@ -3,15 +3,13 @@
 Every word holds a count for every document, zeros included, and the
 weighting walks that whole vector. It costs unique words x documents, so
 the package no longer uses it; tests compare the sparse lexicon against it.
-``postings`` keeps the sparse fold that came between the two: one list of
-non-zero counts per word, which the corpus's profile tree replaced.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from stoplex import AllZeroWeights, AveragingMode, DomainError, inverse_document_frequency
 
@@ -40,21 +38,9 @@ class DenseLexicon:
         return len(self.entries)
 
 
-def postings(documents: list[list[str]]) -> dict[str, list[int]]:
-    """Each token, in first-appearance order, with its non-zero counts in document order.
-
-    The fold over token lists in document order that appended each
-    document's count to one list per word.
-    """
-    folded: dict[str, list[int]] = {}
-    for tokens in documents:
-        for token, count in Counter(tokens).items():
-            counts = folded.get(token)
-            if counts is None:
-                folded[token] = [count]
-            else:
-                counts.append(count)
-    return folded
+def counts(documents: list[list[str]]) -> dict[str, tuple[int, int]]:
+    """Each word, in first-appearance order, with its (doc frequency, total count)."""
+    return {e.surface: (e.doc_frequency, e.total_count) for e in build_lexicon(documents).entries}
 
 
 def build_lexicon(documents: list[list[str]]) -> DenseLexicon:
@@ -87,7 +73,7 @@ def word_weight(entry: DenseEntry, n_docs: int, mode: AveragingMode | str) -> fl
     if entry.total_count < 1:
         raise DomainError(f"entry {entry.surface!r} has no occurrences")
     idf = inverse_document_frequency(n_docs, entry.doc_frequency)
-    total = math.fsum(count * idf for count in entry.per_doc_counts)
+    total = float(Fraction(idf) * sum(entry.per_doc_counts))  # the exact sum of count * idf, rounded once
     denominator = n_docs if mode is AveragingMode.ALL_DOCS else entry.doc_frequency
     return total / denominator
 

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import dense_oracle
 from stoplex import (
     DecodeError,
     DomainError,
@@ -12,18 +13,25 @@ from stoplex import (
     collect_input_files,
     load_corpus,
     load_corpus_from_paths,
+    tokenize,
 )
 
-from conftest import eight_profile_documents
+from conftest import TOY_SOURCES, six_profile_documents
+
+
+def _dense_counts(texts) -> dict[str, tuple[int, int]]:
+    """(doc frequency, total count) per word of (name, text) pairs, from the dense oracle."""
+    return dense_oracle.counts([tokenize(text) for _, text in texts])
 
 
 def test_toy_corpus_shape(toy_corpus):
     assert toy_corpus.doc_count == 3
     assert toy_corpus.token_total == 8
     # first appearance across documents: olma, nok (d1), then uzum (d2)
-    assert list(toy_corpus.postings) == ["olma", "nok", "uzum"]
-    # non-zero per-document counts in document order
-    assert toy_corpus.postings == {"olma": [2, 1], "nok": [1, 1], "uzum": [1, 2]}
+    assert list(toy_corpus.counts_of) == ["olma", "nok", "uzum"]
+    # (doc frequency, total count)
+    assert toy_corpus.counts_of == {"olma": (2, 3), "nok": (2, 2), "uzum": (2, 3)}
+    assert toy_corpus.counts_of == _dense_counts(TOY_SOURCES)
 
 
 def test_single_document():
@@ -45,23 +53,26 @@ def test_bad_utf8_names_source():
 
 def test_bytes_sources_decode():
     corpus = load_corpus([("d1", "olma nok".encode("utf-8")), ("d2", "nok soʻz".encode("utf-8"))])
-    assert corpus.postings == {"olma": [1], "nok": [1, 1], "soʻz": [1]}
+    assert corpus.counts_of == {"olma": (1, 1), "nok": (2, 2), "soʻz": (1, 1)}
+    assert corpus.counts_of == _dense_counts([("d1", "olma nok"), ("d2", "nok soʻz")])
     assert (corpus.doc_count, corpus.token_total) == (2, 4)
 
 
 def test_postings_keep_first_appearance_order_and_document_order():
-    corpus = load_corpus([
+    texts = [
         ("d1", "nok olma nok uzum olma nok"),
         ("d2", ""),
         ("d3", "anor olma anor"),
         ("d4", "nok anor"),
-    ])
-    assert list(corpus.postings.items()) == [
-        ("nok", [3, 1]),  # d1, d4
-        ("olma", [2, 1]),  # d1, d3
-        ("uzum", [1]),
-        ("anor", [2, 1]),  # d3, d4
     ]
+    corpus = load_corpus(texts)
+    assert list(corpus.counts_of.items()) == [
+        ("nok", (2, 4)),  # d1, d4
+        ("olma", (2, 3)),  # d1, d3
+        ("uzum", (1, 1)),
+        ("anor", (2, 3)),  # d3, d4
+    ]
+    assert list(corpus.counts_of.items()) == list(_dense_counts(texts).items())
     assert (corpus.doc_count, corpus.token_total) == (4, 11)
 
 
@@ -80,11 +91,12 @@ def test_postings_memory_is_below_two_words_per_pair():
     pairs = 300 * n_docs
     assert retained < 2 * 8 * pairs
     assert (corpus.doc_count, corpus.token_total) == (n_docs, pairs)
+    assert corpus.counts_of == _dense_counts(texts)
 
 
 def test_postings_memory_with_random_counts_is_below_two_words_per_pair():
     # the same 300 words in 1000 documents, each count drawn from 1-5, so that
-    # profiles seldom meet again: about one tree node per (word, document) pair
+    # per-document count sequences seldom meet again
     words = [a + b + c for a in "bdfgklmnst" for b in "aeiou" for c in "lmnrsz"]
     rng = random.Random(14)
     n_docs = 1000
@@ -97,16 +109,16 @@ def test_postings_memory_with_random_counts_is_below_two_words_per_pair():
         tracemalloc.stop()
     pairs = 300 * n_docs
     assert retained < 2 * 8 * pairs
-    # the node lookup lives for one document: one kept for the whole corpus
-    # peaks here at about 80 bytes per pair
+    # the pair lookup lives for one document: one kept for the whole corpus
+    # would hold every pair ever reached
     assert peak < 2 * 8 * pairs
     assert corpus.doc_count == n_docs
-    assert all(len(corpus.profile(node)) == n_docs for node in corpus.profile_of.values())
+    assert corpus.counts_of == _dense_counts(texts)
 
 
-def test_corpus_retains_its_surfaces_and_one_node_id_per_word():
+def test_corpus_retains_its_surfaces_and_one_pair_per_word():
     n_words = 100_000
-    texts = eight_profile_documents(n_words)
+    texts = six_profile_documents(n_words)
     tracemalloc.start()
     try:
         corpus = load_corpus(texts)
@@ -115,19 +127,16 @@ def test_corpus_retains_its_surfaces_and_one_node_id_per_word():
         tracemalloc.stop()
     # the surfaces and the dict that maps them are the floor; a list of counts
     # per word, as the corpus once kept, would add ~92 bytes per word
-    floor = sum(map(sys.getsizeof, corpus.profile_of)) + sys.getsizeof(corpus.profile_of)
+    floor = sum(map(sys.getsizeof, corpus.counts_of)) + sys.getsizeof(corpus.counts_of)
     assert retained <= floor + 16 * n_words
-    assert (corpus.doc_count, len(corpus.profile_of)) == (4, n_words)
+    assert (corpus.doc_count, len(corpus.counts_of)) == (4, n_words)
 
 
 def test_toy_lexicon_entries(toy_lexicon):
     entries = {e.surface: e for e in toy_lexicon}
     assert [e.surface for e in toy_lexicon] == ["olma", "nok", "uzum"]
     assert (entries["olma"].first_index, entries["nok"].first_index, entries["uzum"].first_index) == (1, 2, 3)
-    assert entries["olma"].doc_counts == (2, 1)  # d1, d3
-    assert entries["nok"].doc_counts == (1, 1)  # d1, d2
-    assert entries["uzum"].doc_counts == (1, 2)  # d2, d3
-    assert [e.total_count for e in toy_lexicon] == [3, 2, 3]
+    assert [e.total_count for e in toy_lexicon] == [3, 2, 3]  # olma 2 + 1, nok 1 + 1, uzum 1 + 2
     assert toy_lexicon.doc_count == 3
     assert all(e.doc_frequency == 2 for e in toy_lexicon)
     assert all(e.idf is None and e.weight is None and e.probability is None for e in toy_lexicon)
@@ -156,9 +165,7 @@ def test_lexicon_invariants(toy_corpus, toy_lexicon):
     n = toy_corpus.doc_count
     for e in toy_lexicon:
         assert 1 <= e.doc_frequency <= n
-        assert e.doc_frequency == len(e.doc_counts)
-        assert e.total_count == sum(e.doc_counts)
-        assert all(c > 0 for c in e.doc_counts)
+        assert e.doc_frequency <= e.total_count
 
 
 def test_determinism(toy_corpus):
@@ -175,7 +182,7 @@ def test_load_from_paths_reads_files_in_the_given_order(tmp_path):
     (tmp_path / "a.txt").write_text("olma nok", encoding="utf-8")
     corpus = load_corpus_from_paths(collect_input_files([tmp_path]))  # lexicographic in a dir
     assert [e.surface for e in build_lexicon(corpus)] == ["olma", "nok", "uzum"]
-    assert corpus.postings["nok"] == [1, 1]
+    assert corpus.counts_of["nok"] == (2, 2)
     reversed_corpus = load_corpus_from_paths([tmp_path / "b.txt", tmp_path / "a.txt"])
     assert [e.surface for e in build_lexicon(reversed_corpus)] == ["nok", "uzum", "olma"]
 

@@ -8,14 +8,16 @@ stage, the tokenizer included, shows as a mismatch of the run's outputs.
 
 import importlib.util
 import json
+import math
 import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scanner_oracle
 from stoplex.cli import main
@@ -59,8 +61,29 @@ def _degenerate(docs: list[tuple[str, ...]]) -> bool:
     return sum(m < len(docs) for m in doc_frequency.values()) <= 1
 
 
+def _exact_probabilities(ref, averaging: str) -> list[float]:
+    """The reference's probabilities with each weight's sum of count * idf taken exactly, rounded once.
+
+    That is idf times the total count, as stoplex weighs a word. check.py
+    rounds each document's count * idf before it sums them, which can set
+    two words with one doc frequency and one total an ulp apart.
+    """
+    weight = [
+        float(Fraction(idf) * total) / (ref.documents if averaging == "all" else m)
+        for idf, total, m in zip(ref.idf, ref.total_count, ref.doc_frequency)
+    ]
+    weight_sum = math.fsum(weight)
+    return [w / weight_sum for w in weight]
+
+
+# "oʻzbek" counts (3, 2) and "olma" (1, 4): one doc frequency and one total, so the two tie
+TIED_PAIR = [[], [], ["O'zbek", "O'zbek", "O'zbek", "olma"], ["O'zbek", "O'zbek", "olma", "olma", "olma", "olma"]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(documents, st.permutations(range(5)), options)
+@example(TIED_PAIR, [0, 1, 2, 3, 4], check.RunOptions(fraction="0.001", zcrit=0.5))
+@example(TIED_PAIR, [0, 1, 2, 3, 4], check.RunOptions(fraction="0.501", zcrit=0.5))
 def test_analyze_matches_the_reference(pieces, shuffle, opts):
     texts = [" ".join(doc) for doc in pieces]
     names = [f"doc{i}.txt" for i in range(len(texts))]
@@ -86,8 +109,10 @@ def test_analyze_matches_the_reference(pieces, shuffle, opts):
             ref = check.build_reference(tuple(docs), opts)
             check.check_outputs(out, ref, opts, stdout.getvalue())
             counts = json.loads((out / "report.json").read_text(encoding="utf-8"))["stopwords"]
+            probability = _exact_probabilities(ref, opts.averaging)
+            threshold = sorted(probability)[ref.k - 1]
             assert counts["zero_weight_words"] == sum(w == 0.0 for w in ref.weight)
-            assert counts["below_threshold"] == sum(p < ref.threshold for p in ref.probability)
-            assert counts["tied_at_threshold"] == sum(p == ref.threshold for p in ref.probability)
+            assert counts["below_threshold"] == sum(p < threshold for p in probability)
+            assert counts["tied_at_threshold"] == sum(p == threshold for p in probability)
         if code:
             assert not out.exists()

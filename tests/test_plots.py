@@ -23,7 +23,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, eight_profile_corpus, letter_code, make_lexicon
+from conftest import TOY_SOURCES, letter_code, make_lexicon, six_profile_corpus
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -119,7 +119,7 @@ def test_both_plots_small_at_100k_words(monkeypatch):
 
 def test_density_plot_memory_is_far_below_one_point_per_word():
     n_words = 100_000
-    lexicon = probabilities(apply_weights(build_lexicon(eight_profile_corpus(n_words))))
+    lexicon = probabilities(apply_weights(build_lexicon(six_profile_corpus(n_words))))
     dist = density(lexicon)
     summary = moment_summary(dist)
     selected = select_candidates(lexicon, 0.05)
@@ -135,7 +135,7 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
 
 
 def test_plots_map_far_fewer_points_than_words(monkeypatch):
-    lexicon = probabilities(apply_weights(build_lexicon(eight_profile_corpus(100_000))))
+    lexicon = probabilities(apply_weights(build_lexicon(six_profile_corpus(100_000))))
     dist = density(lexicon)
     selected = select_candidates(lexicon, 0.05)
     calls = 0
@@ -205,13 +205,12 @@ def test_plots_are_deterministic():
 
 def _profile_lexicon(weights, profile_ids) -> Lexicon:
     """Words over count profiles of the given weights, with probabilities as the pipeline fills them."""
-    profiles = range(len(weights))
     return probabilities(
         Lexicon(
             surfaces=tuple(map(letter_code, range(len(profile_ids)))),
             profile_ids=array("I", profile_ids),
-            doc_counts=tuple((pid + 1,) for pid in profiles),
-            total_count=tuple(pid + 1 for pid in profiles),
+            doc_frequency=(1,) * len(weights),
+            total_count=tuple(range(1, len(weights) + 1)),
             doc_count=2,
             idf=(1.0,) * len(weights),
             weight=tuple(weights),

@@ -241,6 +241,19 @@ def test_cli_bad_option_value_exit_2_before_any_output(tmp_path, option):
     assert not out_dir.exists()
 
 
+def test_cli_out_under_a_file_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    def load_corpus_from_paths(paths):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(stoplex.report, "load_corpus_from_paths", load_corpus_from_paths)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code = main(["analyze", str(TOY_DIR), "--out", str(tmp_path / "file" / "sub")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("stoplex: [output_dir] ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").is_file()
+
+
 def _fail_last_output(monkeypatch):
     def emit_sorted_plot(*args):
         raise StoplexError("cannot render")

@@ -87,6 +87,19 @@ def test_zero_probability_words_selected_first():
     assert selected.candidates[0].probability == 0.0
 
 
+@pytest.mark.parametrize("mode", list(AveragingMode))
+def test_equal_counts_tie_exactly_and_break_by_surface(mode):
+    # "b" counts (1, 4) and "a" (2, 3): both in 2 of 4 documents, 5 times in all
+    corpus = load_corpus([("d1", "b a a"), ("d2", "b b b b a a a"), ("d3", "c " * 6), ("d4", "c " * 7)])
+    lexicon = probabilities(apply_weights(build_lexicon(corpus), mode))
+    rows = {e.surface: e for e in lexicon}
+    assert (rows["a"].doc_frequency, rows["a"].total_count) == (rows["b"].doc_frequency, rows["b"].total_count)
+    assert rows["a"].weight == rows["b"].weight
+    selected = select_candidates(lexicon, 0.5)  # k = ceil(1.5) = 2 of 3
+    assert [e.surface for e in selected.candidates] == ["a", "b"]
+    assert selected.tied_at_threshold == 2
+
+
 def test_export_list_toy(toy_lexicon):
     selected = select_candidates(toy_probability_lexicon(toy_lexicon), 0.4)
     assert export_list(selected) == "nok\nolma\n"
@@ -136,8 +149,8 @@ def permuted_profile_texts(draw) -> list[str]:
     """Documents whose words come in pairs with permuted count vectors.
 
     A vector such as (1, 0, 3) goes to one word and a permutation of it,
-    such as (3, 1, 0), to another: their count profiles (1, 3) and (3, 1)
-    are distinct table rows with equal probabilities.
+    such as (3, 1, 0), to another: their non-zero counts (1, 3) and (3, 1)
+    differ, but they share the count profile (2, 4) and so one probability.
     """
     n_docs = draw(st.integers(2, 4))
     vector = st.lists(st.integers(0, 3), min_size=n_docs, max_size=n_docs).filter(any)
@@ -161,11 +174,11 @@ def permuted_profile_texts(draw) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(permuted_profile_texts())
-@example(["b a a a c", "b b b a", "c"])  # "b" has the profile (1, 3), "a" (3, 1)
-# "a" and "c" have the profile (1, 2), "b" and "d" (2, 1): one group of four
-# words over two profiles, whose first indices interleave
+@example(["b a a a c", "b b b a", "c"])  # "b" counts (1, 3), "a" (3, 1)
+# "a" and "c" count (1, 2), "b" and "d" (2, 1): one group of four words,
+# whose first indices interleave
 @example(["a b b d d", "a a b c", "c c d e e e"])
-# four permutations of (1, 2, 3), each a profile of its own, in one group
+# four permutations of the counts (1, 2, 3), in one group
 @example(["a b b b d d", "a a b b c c c", "a a a b c d d d", "c c d e"])
 def test_selection_ranks_permuted_profiles_together(texts):
     for mode in AveragingMode:

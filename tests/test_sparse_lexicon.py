@@ -1,5 +1,6 @@
 """The count-profile lexicon table against the dense reference it replaced."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -18,7 +19,7 @@ from stoplex import (
     words_csv,
 )
 
-from conftest import eight_profile_corpus, letter_code
+from conftest import letter_code, six_profile_corpus
 
 VOCAB = ["olma", "nok", "uzum", "anor", "bir", "ikki", "soʻz", "gʻisht", "kitob", "til"]
 SHARED = "va"
@@ -35,9 +36,9 @@ sources = st.builds(
 
 
 def _word_rows(table):
-    """Per word: (surface, first_index, doc_frequency, total_count, doc_counts), read from the table."""
+    """Per word: (surface, first_index, doc_frequency, total_count), read from the table."""
     return [
-        (surface, first_index, len(table.doc_counts[pid]), table.total_count[pid], table.doc_counts[pid])
+        (surface, first_index, table.doc_frequency[pid], table.total_count[pid])
         for first_index, (surface, pid) in enumerate(zip(table.surfaces, table.profile_ids), start=1)
     ]
 
@@ -52,20 +53,16 @@ def _per_word(table, column):
 @example([("d1", "va olma olma"), ("d2", "nok va va"), ("d3", "va uzum")])
 @example([("d1", "va olma"), ("d2", "olma va")])
 @example([("d1", ""), ("d2", "")])
-@example([("d1", "olma nok nok nok"), ("d2", "olma olma olma nok")])  # profiles (1, 3) and (3, 1)
-@example([("d1", "olma"), ("d2", "nok")])  # one profile, (1,), reached in two documents
-@example([("d1", "olma nok"), ("d2", "olma olma nok"), ("d3", "nok")])  # (1, 2) and (1, 1, 1) share (1,)
+@example([("d1", "olma nok nok nok"), ("d2", "olma olma olma nok")])  # counts (1, 3) and (3, 1): one profile
+@example([("d1", "olma"), ("d2", "nok")])  # one profile, (1, 1), reached in two documents
+@example([("d1", "olma nok"), ("d2", "olma olma nok"), ("d3", "nok")])  # (2, 3) and (3, 3)
 def test_sparse_lexicon_matches_dense_oracle(texts):
     table = build_lexicon(load_corpus(texts))
     dense = dense_oracle.build_lexicon([tokenize(text) for _, text in texts])
-    # one row per distinct count profile, numbered in order of its first word
-    assert list(dict.fromkeys(map(table.doc_counts.__getitem__, table.profile_ids))) == list(
-        table.doc_counts
-    )
-    assert _word_rows(table) == [
-        (e.surface, e.first_index, e.doc_frequency, e.total_count, tuple(c for c in e.per_doc_counts if c))
-        for e in dense.entries
-    ]
+    # one row per distinct (doc frequency, total count) profile, numbered in order of its first word
+    profiles = list(zip(table.doc_frequency, table.total_count))
+    assert list(dict.fromkeys(map(profiles.__getitem__, table.profile_ids))) == profiles
+    assert _word_rows(table) == [(e.surface, e.first_index, e.doc_frequency, e.total_count) for e in dense.entries]
 
     for mode in AveragingMode:
         weighted = apply_weights(table, mode)
@@ -86,11 +83,10 @@ def test_sparse_lexicon_matches_dense_oracle(texts):
 
 @settings(max_examples=300, deadline=None)
 @given(sources)
-def test_profile_tree_postings_match_the_list_fold(texts):
+def test_corpus_counts_match_the_dense_oracle(texts):
     corpus = load_corpus(texts)
-    expected = dense_oracle.postings([tokenize(text) for _, text in texts])
-    assert list(corpus.postings.items()) == list(expected.items())
-    assert [corpus.profile(node) for node in corpus.profile_of.values()] == list(map(tuple, expected.values()))
+    expected = dense_oracle.counts([tokenize(text) for _, text in texts])
+    assert list(corpus.counts_of.items()) == list(expected.items())
 
 
 def test_lexicon_memory_grows_with_postings_not_words_times_documents():
@@ -99,10 +95,9 @@ def test_lexicon_memory_grows_with_postings_not_words_times_documents():
         (f"d{d}", " ".join(f"{letter_code(d)}q{suffix}" for suffix in "abc" for _ in range(2)))
         for d in range(n_docs)
     ]
-    corpus = load_corpus(texts)
     tracemalloc.start()
     try:
-        lexicon = probabilities(apply_weights(build_lexicon(corpus)))
+        lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts))))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -111,10 +106,28 @@ def test_lexicon_memory_grows_with_postings_not_words_times_documents():
     dense_cells_bytes = lexicon.size * n_docs * 8
     assert peak < dense_cells_bytes / 10
 
+    # 100 words in every document, each count drawn from 1-5: per-document
+    # counts seldom repeat, but each word keeps only its two numbers
+    rng = random.Random(16)
+    n_words = 100
+    words = [letter_code(j) + "q" for j in range(n_words)]
+    texts = [(f"d{d}", " ".join(w for w in words for _ in range(rng.randint(1, 5)))) for d in range(n_docs)]
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        lexicon = build_lexicon(corpus)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (corpus.doc_count, lexicon.size) == (n_docs, n_words)
+    # measured: about 0.2 bytes per pair; the tree of per-document counts
+    # and the count tuples that corpus and lexicon once kept held 17
+    assert retained / (n_words * n_docs) < 1
+
 
 def test_lexicon_stages_hold_far_less_than_one_record_per_word():
     n_words = 100_000
-    corpus = eight_profile_corpus(n_words)
+    corpus = six_profile_corpus(n_words)
     tracemalloc.start()
     try:
         lexicon = probabilities(apply_weights(build_lexicon(corpus)))
@@ -122,6 +135,6 @@ def test_lexicon_stages_hold_far_less_than_one_record_per_word():
     finally:
         tracemalloc.stop()
     # measured: 12 bytes per word (a surface pointer and a 4-byte profile id);
-    # one 8-field WordEntry per word alone would cost 120
+    # one 7-field WordEntry per word alone would cost 112
     assert peak / n_words < 24
-    assert (lexicon.size, len(lexicon.doc_counts)) == (n_words, 8)
+    assert lexicon.size == n_words

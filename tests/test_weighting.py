@@ -115,7 +115,7 @@ def test_weight_monotone_in_total_count():
 
 @pytest.mark.parametrize("mode", list(AveragingMode))
 def test_entries_share_floats_per_count_profile(mode):
-    # 12 hapax words per document, all with the profile (1, (1,)), plus a few others
+    # 12 hapax words per document, all with the profile (1, 1), plus a few others
     hapax = ["".join(word) for word in itertools.product("xyz", "klmn")]
     extras = (["olma", "nok", "uzum"] * 3, ["olma", "nok"], ["olma"], ["olma", "olma"])
     texts = [
@@ -123,14 +123,14 @@ def test_entries_share_floats_per_count_profile(mode):
         for doc, extra in zip("abcd", extras)
     ]
     lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts)), mode))
-    profiles = {(e.doc_frequency, e.doc_counts) for e in lexicon}
-    assert len(profiles) == len(lexicon.doc_counts) == 4 < lexicon.size == 51
+    profiles = {(e.doc_frequency, e.total_count) for e in lexicon}
+    assert len(profiles) == len(lexicon.total_count) == 4 < lexicon.size == 51
     assert len({id(e.weight) for e in lexicon}) == len(profiles)
     assert len({id(e.probability) for e in lexicon}) == len(profiles)
 
 
 def test_weighting_stages_carry_the_member_lists_over(toy_lexicon):
-    assert toy_lexicon.members == (array("I", [1]), array("I", [2]), array("I", [3]))
+    assert toy_lexicon.members == (array("I", [1, 3]), array("I", [2]))  # olma and uzum share (2, 3)
     weighted = apply_weights(toy_lexicon)
     assert weighted.members is toy_lexicon.members
     assert probabilities(weighted).members is toy_lexicon.members
@@ -161,7 +161,7 @@ def test_probability_total_is_fsum_over_every_word(weights, seed):
     lexicon = Lexicon(
         surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
         profile_ids=array("I", profile_ids),
-        doc_counts=tuple((pid + 1,) for pid in range(len(weights))),
+        doc_frequency=(1,) * len(weights),
         total_count=tuple(range(1, len(weights) + 1)),
         doc_count=2,
         idf=(1.0,) * len(weights),

@@ -13,7 +13,7 @@ import stoplex.report
 from stoplex import DomainError, Lexicon, RunConfig, run_pipeline, words_csv
 from stoplex.report import _words_csv_chunks
 
-from conftest import eight_profile_documents
+from conftest import six_profile_documents
 
 NUMBER_COLUMNS = ("idf", "weight", "probability")
 # row batch sizes small enough for the drawn lexicons to span several batches
@@ -22,15 +22,15 @@ BATCHES = (1, 2, 3)
 
 def _lexicon(words, profiles) -> Lexicon:
     """Words as (surface, profile id) over (doc_frequency, idf, weight, probability) rows."""
-    doc_counts = tuple((1,) * df for df, *_ in profiles)
+    doc_frequency = tuple(df for df, *_ in profiles)
     columns = {
         name: tuple(row[column] for row in profiles) for column, name in enumerate(NUMBER_COLUMNS, start=1)
     }
     return Lexicon(
         surfaces=tuple(surface for surface, _ in words),
         profile_ids=array("I", [pid for _, pid in words]),
-        doc_counts=doc_counts,
-        total_count=tuple(map(sum, doc_counts)),
+        doc_frequency=doc_frequency,
+        total_count=doc_frequency,
         doc_count=30,
         **columns,
     )
@@ -118,7 +118,7 @@ def test_words_csv_chunks_are_the_header_then_full_batches(monkeypatch, batch, o
 def test_writing_words_csv_holds_a_small_fraction_of_the_file(tmp_path, monkeypatch):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
-    for name, text in eight_profile_documents(100_000):
+    for name, text in six_profile_documents(100_000):
         (in_dir / f"{name}.txt").write_text(text, encoding="utf-8")
     # keep the renderers the pipeline hands to _write_all, then measure writing only words.csv
     renderers = {}
