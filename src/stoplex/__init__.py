@@ -36,7 +36,6 @@ from .moments import (
     check_table_consistency,
     density,
     moment_summary,
-    raw_moment,
 )
 from .plots import emit_density_plot, emit_sorted_plot
 from .position import (
@@ -113,7 +112,6 @@ __all__ = [
     "location_verdict",
     "moment_summary",
     "probabilities",
-    "raw_moment",
     "run_pipeline",
     "sample_mean_for",
     "select_candidates",

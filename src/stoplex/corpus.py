@@ -200,9 +200,6 @@ class Lexicon:
             for first_index, (surface, pid) in enumerate(zip(self.surfaces, self.profile_ids), start=1)
         )
 
-    def __iter__(self) -> Iterator[WordEntry]:
-        return self.entries
-
 
 def _index_lists(ids: array, n: int) -> tuple[array, ...]:
     """For each id in range(n), an array("I") of the ascending 1-based positions in ``ids`` that hold it."""
@@ -254,6 +251,8 @@ def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> li
     A directory contributes its regular files (dotfiles excluded) in
     lexicographic name order. With order="list" the given argument order is
     kept; order="lexicographic" re-sorts the whole collection by file name.
+    A listed path that does not exist raises FileNotFoundError, so no file
+    is read before a later one turns out to be missing.
     """
     if order not in ORDER_MODES:
         raise DomainError(f"unknown document order {order!r}")
@@ -264,6 +263,7 @@ def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> li
             children = [c for c in path.iterdir() if c.is_file() and not c.name.startswith(".")]
             files.extend(sorted(children, key=lambda c: c.name))
         else:
+            path.stat()  # raises FileNotFoundError for a missing file, as reading it would
             files.append(path)
     if order == "lexicographic":
         files.sort(key=lambda c: c.name)

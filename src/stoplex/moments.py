@@ -2,10 +2,10 @@
 
 The first-appearance index i of each unique word is treated as a discrete
 random variable with P(i) = p_i. A distribution holds its indices in groups
-that share one probability (a lexicon's count profiles: the words with one
-doc frequency and one total count), and its sums are exact: each group's
-probability is m / 2**s with one power of two 2**s for all groups
-(float.as_integer_ratio), so E_k = sum of p_i * i**k is the
+that share one probability; density groups them by a lexicon's count
+profiles (the words with one doc frequency and one total count). Its sums
+are exact: each group's probability is m / 2**s with one power of two 2**s
+for all groups (float.as_integer_ratio), so E_k = sum of p_i * i**k is the
 integer sum over groups of m times the group's exact sum of i**k, finished
 by one correctly rounded int/int division. Dispersion is the direct central
 sum of p_i * (i - E1)**2 about the float E1, done the same way with E1 read
@@ -20,9 +20,9 @@ import math
 from array import array
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .corpus import Lexicon, _index_lists
+from .corpus import Lexicon
 from .errors import DegenerateDistribution, DomainError
 
 #: |asymmetry| at or below this counts as zero for verdict purposes.
@@ -40,47 +40,31 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
     return [m * (scale // d) for m, d in ratios], scale
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class IndexDistribution:
     """Probabilities for indices 1..N, held per group of indices that share one.
 
     Group g has probability ``values[g]`` and the ascending 1-based indices
-    ``members[g]``; index i is in group ``group_of[i - 1]``.
-    IndexDistribution(probabilities) groups per-index probabilities by equal
-    value; density passes a lexicon's count profiles as the groups.
+    ``members[g]``; index i is in group ``group_of[i - 1]``. Groups may
+    share a value. density makes one from a lexicon's count profiles.
+    Raises DomainError unless there is at least one index, every value is
+    finite and >= 0, and the exact total is within 1e-12 of 1.
     """
 
     values: tuple[float, ...]
     group_of: array  # array("I"): one group per index
     members: tuple[array, ...]
 
-    def __init__(self, probabilities: Iterable[float]):
-        group: dict[float, int] = {}
-        group_of = array("I", [group.setdefault(p, len(group)) for p in probabilities])
-        self._fill(tuple(group), group_of, _index_lists(group_of, len(group)))
-
-    @classmethod
-    def _from_groups(
-        cls, values: Sequence[float], group_of: array, members: Sequence[array]
-    ) -> IndexDistribution:
-        """The distribution whose group g has probability ``values[g]`` and 1-based indices ``members[g]``."""
-        dist = cls.__new__(cls)
-        dist._fill(tuple(values), group_of, tuple(members))
-        return dist
-
-    def _fill(self, values: tuple[float, ...], group_of: array, members: tuple[array, ...]) -> None:
-        if not group_of:
+    def __post_init__(self):
+        if not self.group_of:
             raise DomainError("a distribution needs at least one point")
-        for p in values:
+        for p in self.values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
-        scaled, scale = _dyadic(values)
-        total = sum(map(mul, scaled, map(len, members))) / scale
+        scaled, scale = _dyadic(self.values)
+        total = sum(map(mul, scaled, map(len, self.members))) / scale
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "group_of", group_of)
-        object.__setattr__(self, "members", members)
 
     @property
     def size(self) -> int:
@@ -112,7 +96,7 @@ def density(lexicon: Lexicon) -> IndexDistribution:
     It shares the lexicon's profile ids and member lists, so it takes one
     step per profile, not per word.
     """
-    return IndexDistribution._from_groups(lexicon.column("probability"), lexicon.profile_ids, lexicon.members)
+    return IndexDistribution(lexicon.column("probability"), lexicon.profile_ids, lexicon.members)
 
 
 # indices per step of _power_sums: it holds two lists of Python ints (about
@@ -138,14 +122,6 @@ def _power_sums(members: Sequence[array]) -> tuple[list[int], list[int], list[in
         sums[1].append(s2)
         sums[2].append(s3)
     return (counts, *sums)
-
-
-def raw_moment(dist: IndexDistribution, k: int) -> float:
-    """k-th raw moment, sum of p_i * i**k, for k in 1..3, correctly rounded."""
-    if k not in (1, 2, 3):
-        raise DomainError(f"raw moment order must be 1, 2 or 3, got {k}")
-    scaled, scale = _dyadic(dist.values)
-    return sum(map(mul, scaled, _power_sums(dist.members)[k])) / scale
 
 
 def moment_summary(dist: IndexDistribution) -> MomentSummary:

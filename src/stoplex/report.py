@@ -315,9 +315,11 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
 def _check_output_dir(out_dir: Path) -> None:
     """Raise NotADirectoryError unless the nearest existing one of ``out_dir`` and its parents is a directory.
 
-    It creates nothing, so a run that fails later leaves no output directory.
+    A dangling symlink counts as existing, since no directory can be made
+    where it sits. It creates nothing, so a run that fails later leaves no
+    output directory.
     """
-    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists() or d.is_symlink())
     if not existing.is_dir():
         raise NotADirectoryError(f"cannot make output directory {out_dir}: {existing} is not a directory")
 

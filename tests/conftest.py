@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from stoplex import Lexicon, build_lexicon, load_corpus
+from stoplex import IndexDistribution, Lexicon, build_lexicon, load_corpus
 
 DATA_DIR = Path(__file__).parent / "data"
 TOY_DIR = DATA_DIR / "corpus_t"
@@ -58,6 +58,13 @@ def six_profile_documents(n_words: int) -> list[tuple[str, str]]:
 def six_profile_corpus(n_words: int):
     """The corpus of ``six_profile_documents(n_words)``."""
     return load_corpus(six_profile_documents(n_words))
+
+
+def distribution(probabilities) -> IndexDistribution:
+    """The distribution of per-index probabilities: index i + 1 alone in group i, at probabilities[i]."""
+    values = tuple(probabilities)
+    n = len(values)
+    return IndexDistribution(values, array("I", range(n)), tuple(array("I", [i]) for i in range(1, n + 1)))
 
 
 def index_probabilities(dist) -> tuple[float, ...]:

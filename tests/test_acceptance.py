@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from stoplex import (
-    IndexDistribution,
     MomentSummary,
     RunConfig,
     apply_weights,
@@ -27,7 +26,7 @@ from stoplex import (
 )
 from stoplex.cli import main
 
-from conftest import TOY_DIR, TOY_SOURCES, index_probabilities, make_lexicon
+from conftest import TOY_DIR, TOY_SOURCES, distribution, index_probabilities, make_lexicon
 
 
 def test_criterion_1_z_score_checkpoint(criterion):
@@ -113,7 +112,7 @@ def test_criterion_5_toy_corpus_pipeline(criterion, tmp_path):
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1
         lexicon = probabilities(apply_weights(build_lexicon(load_corpus(TOY_SOURCES))))
-        assert [e.probability for e in lexicon] == pytest.approx([0.375, 0.25, 0.375], abs=1e-12)
+        assert [e.probability for e in lexicon.entries] == pytest.approx([0.375, 0.25, 0.375], abs=1e-12)
         m = report.moments
         assert m.expectation == pytest.approx(2.0, abs=1e-12)
         assert m.dispersion == pytest.approx(0.75, abs=1e-12)
@@ -131,13 +130,13 @@ def test_criterion_6_randomized_property_suite(criterion):
             n_weights = int(2 ** rng.uniform(0, 10))
             weights = rng.lognormal(mean=rng.uniform(-6, 6), sigma=2.0, size=n_weights)
             lexicon = probabilities(make_lexicon(weights.tolist()))
-            assert abs(math.fsum(e.probability for e in lexicon) - 1.0) <= 1e-12
+            assert abs(math.fsum(e.probability for e in lexicon.entries) - 1.0) <= 1e-12
 
             # moment identities on a random distribution, N <= 10^4
             n = min(int(2 ** rng.uniform(1, 13.2877)) + 1, 10**4)
             raw = rng.random(n) + 1e-9
             p = raw / raw.sum()
-            dist = IndexDistribution(tuple(p.tolist()))
+            dist = distribution(p.tolist())
             s = moment_summary(dist)
             assert abs(s.dispersion - (s.raw_moment_2 - s.raw_moment_1**2)) <= 1e-9 * max(
                 1.0, s.raw_moment_2
@@ -151,11 +150,11 @@ def test_criterion_6_randomized_property_suite(criterion):
             # symmetric distribution: zero skew
             sym = np.concatenate([raw, raw[::-1]])
             sym /= sym.sum()
-            sym_summary = moment_summary(IndexDistribution(tuple(sym.tolist())))
+            sym_summary = moment_summary(distribution(sym.tolist()))
             assert abs(sym_summary.asymmetry) <= 1e-9
 
             # mirrored distribution: negated skew
-            mirrored = moment_summary(IndexDistribution(tuple(p[::-1].tolist())))
+            mirrored = moment_summary(distribution(p[::-1].tolist()))
             assert mirrored.asymmetry == pytest.approx(-s.asymmetry, rel=1e-9, abs=1e-9)
 
 
@@ -171,13 +170,13 @@ def test_criterion_7_invariance_suite(criterion, tmp_path):
                 words = rng.choice(vocab, size=rng.integers(1, 40))
                 sources.append((f"d{d}", " ".join(words.tolist())))
             base = build_lexicon(load_corpus(sources))
-            if all(e.doc_frequency == n_docs for e in base):
+            if all(e.doc_frequency == n_docs for e in base.entries):
                 continue  # no tf-idf signal; duplication preserves the error too
             effective += 1
             base_p = probabilities(apply_weights(base))
             doubled_sources = [(f"{n}a", t) for n, t in sources] + [(f"{n}b", t) for n, t in sources]
             doubled_p = probabilities(apply_weights(build_lexicon(load_corpus(doubled_sources))))
-            for a, b in zip(base_p, doubled_p):
+            for a, b in zip(base_p.entries, doubled_p.entries):
                 assert a.surface == b.surface
                 assert a.idf == b.idf
                 assert a.weight == b.weight
@@ -191,12 +190,12 @@ def test_criterion_7_invariance_suite(criterion, tmp_path):
             # uniform weight scaling
             for scale in (0.125, 3.7, 1e5):
                 scaled = probabilities(
-                    make_lexicon([e.weight * scale for e in apply_weights(base)])
+                    make_lexicon([e.weight * scale for e in apply_weights(base).entries])
                 )
                 reference = probabilities(
-                    make_lexicon([e.weight for e in apply_weights(base)])
+                    make_lexicon([e.weight for e in apply_weights(base).entries])
                 )
-                for a, b in zip(reference, scaled):
+                for a, b in zip(reference.entries, scaled.entries):
                     assert b.probability == pytest.approx(a.probability, abs=1e-12)
                 assert [e.surface for e in select_candidates(reference, 0.25).candidates] == [
                     e.surface for e in select_candidates(scaled, 0.25).candidates

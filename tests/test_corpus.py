@@ -133,18 +133,18 @@ def test_corpus_retains_its_surfaces_and_one_pair_per_word():
 
 
 def test_toy_lexicon_entries(toy_lexicon):
-    entries = {e.surface: e for e in toy_lexicon}
-    assert [e.surface for e in toy_lexicon] == ["olma", "nok", "uzum"]
+    entries = {e.surface: e for e in toy_lexicon.entries}
+    assert [e.surface for e in toy_lexicon.entries] == ["olma", "nok", "uzum"]
     assert (entries["olma"].first_index, entries["nok"].first_index, entries["uzum"].first_index) == (1, 2, 3)
-    assert [e.total_count for e in toy_lexicon] == [3, 2, 3]  # olma 2 + 1, nok 1 + 1, uzum 1 + 2
+    assert [e.total_count for e in toy_lexicon.entries] == [3, 2, 3]  # olma 2 + 1, nok 1 + 1, uzum 1 + 2
     assert toy_lexicon.doc_count == 3
-    assert all(e.doc_frequency == 2 for e in toy_lexicon)
-    assert all(e.idf is None and e.weight is None and e.probability is None for e in toy_lexicon)
+    assert all(e.doc_frequency == 2 for e in toy_lexicon.entries)
+    assert all(e.idf is None and e.weight is None and e.probability is None for e in toy_lexicon.entries)
 
 
 def test_single_doc_lexicon():
     lexicon = build_lexicon(load_corpus([("d", "a b a")]))
-    assert [(e.surface, e.first_index, e.doc_frequency) for e in lexicon] == [
+    assert [(e.surface, e.first_index, e.doc_frequency) for e in lexicon.entries] == [
         ("a", 1, 1),
         ("b", 2, 1),
     ]
@@ -155,15 +155,15 @@ def test_identical_documents():
     corpus = load_corpus([(f"d{i}", text) for i in range(1, 5)])
     lexicon = build_lexicon(corpus)
     assert lexicon.size == 3
-    assert all(e.doc_frequency == corpus.doc_count for e in lexicon)
+    assert all(e.doc_frequency == corpus.doc_count for e in lexicon.entries)
 
 
 def test_lexicon_invariants(toy_corpus, toy_lexicon):
-    indices = sorted(e.first_index for e in toy_lexicon)
+    indices = sorted(e.first_index for e in toy_lexicon.entries)
     assert indices == list(range(1, toy_lexicon.size + 1))
-    assert sum(e.total_count for e in toy_lexicon) == toy_corpus.token_total
+    assert sum(e.total_count for e in toy_lexicon.entries) == toy_corpus.token_total
     n = toy_corpus.doc_count
-    for e in toy_lexicon:
+    for e in toy_lexicon.entries:
         assert 1 <= e.doc_frequency <= n
         assert e.doc_frequency <= e.total_count
 
@@ -181,10 +181,10 @@ def test_load_from_paths_reads_files_in_the_given_order(tmp_path):
     (tmp_path / "b.txt").write_text("nok uzum", encoding="utf-8")
     (tmp_path / "a.txt").write_text("olma nok", encoding="utf-8")
     corpus = load_corpus_from_paths(collect_input_files([tmp_path]))  # lexicographic in a dir
-    assert [e.surface for e in build_lexicon(corpus)] == ["olma", "nok", "uzum"]
+    assert [e.surface for e in build_lexicon(corpus).entries] == ["olma", "nok", "uzum"]
     assert corpus.counts_of["nok"] == (2, 2)
     reversed_corpus = load_corpus_from_paths([tmp_path / "b.txt", tmp_path / "a.txt"])
-    assert [e.surface for e in build_lexicon(reversed_corpus)] == ["nok", "uzum", "olma"]
+    assert [e.surface for e in build_lexicon(reversed_corpus).entries] == ["nok", "uzum", "olma"]
 
 
 def test_load_from_paths_names_a_bad_file_by_its_stem(tmp_path):

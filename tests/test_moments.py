@@ -11,7 +11,6 @@ import stoplex.moments
 from stoplex import (
     DegenerateDistribution,
     DomainError,
-    IndexDistribution,
     Lexicon,
     MomentSummary,
     apply_weights,
@@ -21,16 +20,15 @@ from stoplex import (
     load_corpus,
     moment_summary,
     probabilities,
-    raw_moment,
 )
 
-from conftest import index_probabilities, six_profile_corpus
+from conftest import distribution, index_probabilities, six_profile_corpus
 
 TOY_P = (0.375, 0.25, 0.375)
 
 
 def toy_distribution():
-    return IndexDistribution(TOY_P)
+    return distribution(TOY_P)
 
 
 def test_density_copies_probabilities(toy_lexicon):
@@ -53,36 +51,24 @@ def test_single_point_density():
 
 def test_distribution_validation():
     with pytest.raises(DomainError):
-        IndexDistribution(())
+        distribution(())
     with pytest.raises(DomainError):
-        IndexDistribution((0.5, -0.5, 1.0))
+        distribution((0.5, -0.5, 1.0))
     with pytest.raises(DomainError):
-        IndexDistribution((0.5, 0.4))  # sums to 0.9
+        distribution((0.5, 0.4))  # sums to 0.9
     with pytest.raises(DomainError):
-        IndexDistribution((float("nan"), 1.0))
+        distribution((float("nan"), 1.0))
 
 
 def test_raw_moments_toy():
-    dist = toy_distribution()
-    assert raw_moment(dist, 1) == pytest.approx(2.0, abs=1e-15)
-    assert raw_moment(dist, 2) == pytest.approx(4.75, abs=1e-15)
-    assert raw_moment(dist, 3) == pytest.approx(12.5, abs=1e-15)
-
-
-def test_raw_moment_point_mass():
-    dist = IndexDistribution((0.0,) * 6 + (1.0,))  # all mass at i=7
-    assert raw_moment(dist, 3) == 343.0
+    s = moment_summary(toy_distribution())
+    assert s.raw_moment_1 == pytest.approx(2.0, abs=1e-15)
+    assert s.raw_moment_2 == pytest.approx(4.75, abs=1e-15)
+    assert s.raw_moment_3 == pytest.approx(12.5, abs=1e-15)
 
 
 def test_raw_moment_uniform_two_points():
-    dist = IndexDistribution((0.5, 0.5))
-    assert raw_moment(dist, 2) == 2.5
-
-
-@pytest.mark.parametrize("k", [0, 4, -1])
-def test_raw_moment_order_domain(k):
-    with pytest.raises(DomainError):
-        raw_moment(toy_distribution(), k)
+    assert moment_summary(distribution((0.5, 0.5))).raw_moment_2 == 2.5
 
 
 def test_moment_summary_toy():
@@ -96,7 +82,7 @@ def test_moment_summary_toy():
 
 
 def test_moment_summary_skewed():
-    s = moment_summary(IndexDistribution((0.6, 0.3, 0.1)))
+    s = moment_summary(distribution((0.6, 0.3, 0.1)))
     assert s.expectation == pytest.approx(1.5, rel=1e-12)
     assert s.dispersion == pytest.approx(0.45, rel=1e-12)
     assert s.std_dev == pytest.approx(0.6708204, abs=5e-8)
@@ -108,17 +94,17 @@ def test_moment_summary_skewed():
 
 def test_moment_summary_degenerate():
     with pytest.raises(DegenerateDistribution):
-        moment_summary(IndexDistribution((0.0, 1.0, 0.0)))
+        moment_summary(distribution((0.0, 1.0, 0.0)))
 
 
 def test_moment_summary_sigma_cubed_underflow():
     # D = 1e-300 is positive, but sigma**3 = 1e-450 underflows to 0.0
     with pytest.raises(DegenerateDistribution):
-        moment_summary(IndexDistribution((1.0, 1e-300)))
+        moment_summary(distribution((1.0, 1e-300)))
 
 
 def test_internal_identities_hold():
-    s = moment_summary(IndexDistribution((0.6, 0.3, 0.1)))
+    s = moment_summary(distribution((0.6, 0.3, 0.1)))
     assert s.std_dev == pytest.approx(math.sqrt(s.dispersion), rel=1e-12)
     assert s.dispersion == pytest.approx(s.raw_moment_2 - s.raw_moment_1**2, rel=1e-9)
     assert s.asymmetry == pytest.approx(s.third_central_moment / s.std_dev**3, rel=1e-12)
@@ -214,9 +200,8 @@ def exact_moments(probs) -> list[float]:
     return [float(value) for value in (e1, e2, e3, dispersion)]
 
 
-def computed_moments(dist: IndexDistribution) -> list[float]:
+def computed_moments(dist) -> list[float]:
     s = moment_summary(dist)
-    assert [raw_moment(dist, k) for k in (1, 2, 3)] == [s.raw_moment_1, s.raw_moment_2, s.raw_moment_3]
     return [s.raw_moment_1, s.raw_moment_2, s.raw_moment_3, s.dispersion]
 
 
@@ -238,25 +223,11 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
 
 @settings(max_examples=300, deadline=None)
 @given(grouped_weights())
+@example(([1.0, 2.0], [0, 0, 1, 1]))
+@example(([2.0, 2.0, 5.0], [0, 1, 2, 1, 0]))  # two profiles with one probability
 @example(([1.0, 3.0], [0, 1, 0, 1, 0]))
 @example(([1e-8, 1e8], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # mass at both ends
 @example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
-def test_distribution_moments_are_the_exact_sums_rounded_once(case):
-    weights, groups = case
-    total = math.fsum(weights[g] for g in groups)
-    probs = [weights[g] / total for g in groups]
-    dist = IndexDistribution(probs)
-    expected = exact_moments(probs)
-    assert computed_moments(dist) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
-        assert computed_moments(dist) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(grouped_weights())
-@example(([1.0, 2.0], [0, 0, 1, 1]))
-@example(([2.0, 2.0, 5.0], [0, 1, 2, 1, 0]))  # two profiles with one probability
 def test_density_moments_are_the_exact_sums_rounded_once(case):
     weights, profile_ids = case
     lexicon = probabilities(
@@ -270,8 +241,12 @@ def test_density_moments_are_the_exact_sums_rounded_once(case):
             weight=tuple(weights),
         )
     )
-    probs = [lexicon.probability[pid] for pid in profile_ids]
-    assert computed_moments(density(lexicon)) == exact_moments(probs)
+    dist = density(lexicon)
+    expected = exact_moments([lexicon.probability[pid] for pid in profile_ids])
+    assert computed_moments(dist) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
+        assert computed_moments(dist) == expected
 
 
 def test_density_retains_under_one_byte_per_word():

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 import plot_oracle
 import stoplex.plots
 from stoplex import (
-    IndexDistribution,
     Lexicon,
     MomentSummary,
     apply_weights,
@@ -23,7 +22,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, letter_code, make_lexicon, six_profile_corpus
+from conftest import TOY_SOURCES, distribution, letter_code, make_lexicon, six_profile_corpus
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -78,7 +77,7 @@ def test_density_plot_axis_labels():
 def test_density_plot_full_scale_fast_and_small():
     n = 12837
     lexicon = make_lexicon([1 / n] * n)
-    dist = IndexDistribution(tuple(1 / n for _ in range(n)))
+    dist = distribution(1 / n for _ in range(n))
     summary = moment_summary(dist)
     selected = select_candidates(lexicon, 0.05)
     start = time.perf_counter()

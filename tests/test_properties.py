@@ -8,19 +8,17 @@ from hypothesis import assume, given, strategies as st
 from stoplex import (
     CANONICAL_APOSTROPHE,
     AllZeroWeights,
-    IndexDistribution,
     apply_weights,
     build_lexicon,
     candidate_count,
     load_corpus,
     moment_summary,
     probabilities,
-    raw_moment,
     select_candidates,
     tokenize,
 )
 
-from conftest import index_probabilities, make_lexicon
+from conftest import distribution, index_probabilities, make_lexicon
 
 # --- strategies --------------------------------------------------------------
 
@@ -49,9 +47,9 @@ corpus_sources = st.lists(
 ).map(lambda docs: [(f"d{i}", " ".join(words)) for i, words in enumerate(docs, 1)])
 
 
-def normalized(values) -> IndexDistribution:
+def normalized(values):
     total = math.fsum(values)
-    return IndexDistribution(tuple(v / total for v in values))
+    return distribution(v / total for v in values)
 
 
 # --- weighting ---------------------------------------------------------------
@@ -59,15 +57,15 @@ def normalized(values) -> IndexDistribution:
 @given(positive_weights)
 def test_probabilities_sum_to_one(weights):
     lexicon = probabilities(make_lexicon(weights))
-    assert abs(math.fsum(e.probability for e in lexicon) - 1.0) <= 1e-12
-    assert all(e.probability >= 0 for e in lexicon)
+    assert abs(math.fsum(e.probability for e in lexicon.entries) - 1.0) <= 1e-12
+    assert all(e.probability >= 0 for e in lexicon.entries)
 
 
 @given(positive_weights, st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
 def test_scaling_weights_preserves_probabilities(weights, scale):
     base = probabilities(make_lexicon(weights))
     scaled = probabilities(make_lexicon([w * scale for w in weights]))
-    for a, b in zip(base, scaled):
+    for a, b in zip(base.entries, scaled.entries):
         assert a.probability == pytest.approx(b.probability, abs=1e-12)
 
 
@@ -90,9 +88,9 @@ def test_scaling_weights_preserves_candidates(weights, scale):
 def test_lexicon_counts_invariants(sources):
     corpus = load_corpus(sources)
     lexicon = build_lexicon(corpus)
-    assert sum(e.total_count for e in lexicon) == corpus.token_total
-    assert sorted(e.first_index for e in lexicon) == list(range(1, lexicon.size + 1))
-    for e in lexicon:
+    assert sum(e.total_count for e in lexicon.entries) == corpus.token_total
+    assert sorted(e.first_index for e in lexicon.entries) == list(range(1, lexicon.size + 1))
+    for e in lexicon.entries:
         assert 1 <= e.doc_frequency <= corpus.doc_count
         assert e.doc_frequency <= e.total_count
     assert build_lexicon(corpus) == build_lexicon(corpus)
@@ -113,7 +111,7 @@ def test_corpus_duplication_invariance(sources):
             probabilities(apply_weights(doubled))
         return
     doubled_p = probabilities(apply_weights(doubled))
-    for a, b in zip(base_p, doubled_p):
+    for a, b in zip(base_p.entries, doubled_p.entries):
         assert a.surface == b.surface
         assert a.idf == b.idf  # ln(2n/2m) == ln(n/m) exactly
         assert a.weight == b.weight
@@ -155,7 +153,7 @@ def test_symmetric_distribution_has_zero_skew(values, odd_center):
 @given(raw_probabilities)
 def test_mirrored_distribution_negates_skew(values):
     dist = normalized(values)
-    mirrored = IndexDistribution(tuple(reversed(index_probabilities(dist))))
+    mirrored = distribution(reversed(index_probabilities(dist)))
     s = moment_summary(dist)
     m = moment_summary(mirrored)
     magnitude = math.fsum(p * abs(i - s.expectation) ** 3 for i, p in enumerate(index_probabilities(dist), start=1))
@@ -183,7 +181,7 @@ def test_raw_moments_match_numpy_oracle(values, k):
 
     dist = normalized(values)
     expected = float(np.sum(np.asarray(index_probabilities(dist)) * np.arange(1, dist.size + 1) ** k))
-    assert raw_moment(dist, k) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert getattr(moment_summary(dist), f"raw_moment_{k}") == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 # --- selection ---------------------------------------------------------------
@@ -208,7 +206,7 @@ def test_selection_size_and_order(weights, fraction):
     assert selected.threshold == probs[-1]
     # no non-candidate has a smaller probability than any candidate
     chosen = {e.surface for e in selected.candidates}
-    rest = [e.probability for e in lexicon if e.surface not in chosen]
+    rest = [e.probability for e in lexicon.entries if e.surface not in chosen]
     if rest:
         assert min(rest) >= selected.threshold or math.isclose(min(rest), selected.threshold)
 

@@ -8,6 +8,7 @@ from itertools import islice
 
 import pytest
 
+import stoplex.corpus
 import stoplex.report
 from stoplex import (
     AllZeroWeights,
@@ -227,10 +228,17 @@ def test_cli_tokenless_corpus_exit_2(tmp_path, capsys, files):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_missing_input_exit_2(tmp_path, capsys):
-    code = main(["analyze", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
+def test_cli_missing_input_exit_2(tmp_path, monkeypatch, capsys):
+    def tokenize(text):
+        raise AssertionError("a file was tokenized")
+
+    monkeypatch.setattr(stoplex.corpus, "tokenize", tokenize)
+    (tmp_path / "good.txt").write_text("olma nok", encoding="utf-8")
+    missing = tmp_path / "nope.txt"
+    code = main(["analyze", str(tmp_path / "good.txt"), str(missing), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("stoplex: [load_corpus] ")
+    assert capsys.readouterr().err == f"stoplex: [load_corpus] [Errno 2] No such file or directory: '{missing}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("option", [("--zcrit", "inf"), ("--fraction", "1e-400")])
@@ -247,11 +255,14 @@ def test_cli_out_under_a_file_exit_2_before_any_work(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(stoplex.report, "load_corpus_from_paths", load_corpus_from_paths)
     (tmp_path / "file").write_text("", encoding="utf-8")
-    code = main(["analyze", str(TOY_DIR), "--out", str(tmp_path / "file" / "sub")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("stoplex: [output_dir] ")
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
-    assert (tmp_path / "file").is_file()
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+    for out in (tmp_path / "file" / "sub", tmp_path / "dangling"):
+        code = main(["analyze", str(TOY_DIR), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("stoplex: [output_dir] ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
+        assert (tmp_path / "file").is_file()
+        assert (tmp_path / "dangling").is_symlink() and not (tmp_path / "dangling").exists()
 
 
 def _fail_last_output(monkeypatch):

@@ -92,7 +92,7 @@ def test_equal_counts_tie_exactly_and_break_by_surface(mode):
     # "b" counts (1, 4) and "a" (2, 3): both in 2 of 4 documents, 5 times in all
     corpus = load_corpus([("d1", "b a a"), ("d2", "b b b b a a a"), ("d3", "c " * 6), ("d4", "c " * 7)])
     lexicon = probabilities(apply_weights(build_lexicon(corpus), mode))
-    rows = {e.surface: e for e in lexicon}
+    rows = {e.surface: e for e in lexicon.entries}
     assert (rows["a"].doc_frequency, rows["a"].total_count) == (rows["b"].doc_frequency, rows["b"].total_count)
     assert rows["a"].weight == rows["b"].weight
     selected = select_candidates(lexicon, 0.5)  # k = ceil(1.5) = 2 of 3

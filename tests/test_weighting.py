@@ -41,17 +41,17 @@ def test_idf_domain_errors():
 
 def test_toy_weights(toy_lexicon):
     weighted = apply_weights(toy_lexicon)
-    by_surface = {e.surface: e for e in weighted}
+    by_surface = {e.surface: e for e in weighted.entries}
     assert by_surface["olma"].weight == pytest.approx(0.4054651, abs=5e-8)
     assert by_surface["nok"].weight == pytest.approx(0.2703101, abs=5e-8)
     assert by_surface["uzum"].weight == pytest.approx(0.4054651, abs=5e-8)
-    assert all(e.idf == pytest.approx(LN_3_OVER_2) for e in weighted)
+    assert all(e.idf == pytest.approx(LN_3_OVER_2) for e in weighted.entries)
 
 
 def test_weight_zero_iff_in_every_document():
     corpus = load_corpus([("d1", "a b"), ("d2", "a"), ("d3", "a b b")])
     weighted = apply_weights(build_lexicon(corpus))
-    by_surface = {e.surface: e for e in weighted}
+    by_surface = {e.surface: e for e in weighted.entries}
     assert by_surface["a"].idf == 0.0
     assert by_surface["a"].weight == 0.0
     assert by_surface["b"].weight > 0.0
@@ -67,7 +67,7 @@ def test_apply_weights_rejects_doc_frequency_above_doc_count(toy_lexicon):
 def test_containing_docs_mode(toy_lexicon):
     # same totals, but divided by m=2 instead of n=3
     weighted = apply_weights(toy_lexicon, AveragingMode.CONTAINING_DOCS)
-    by_surface = {e.surface: e for e in weighted}
+    by_surface = {e.surface: e for e in weighted.entries}
     assert by_surface["olma"].weight == pytest.approx(3 * LN_3_OVER_2 / 2)
     assert by_surface["nok"].weight == pytest.approx(2 * LN_3_OVER_2 / 2)
 
@@ -78,20 +78,20 @@ def test_mode_accepts_strings(toy_lexicon):
 
 def test_toy_probabilities(toy_lexicon):
     lexicon = probabilities(apply_weights(toy_lexicon))
-    assert [e.probability for e in lexicon] == pytest.approx([0.375, 0.25, 0.375], abs=1e-15)
-    assert math.fsum(e.probability for e in lexicon) == pytest.approx(1.0, abs=1e-12)
-    assert [e.first_index for e in lexicon] == [1, 2, 3]
+    assert [e.probability for e in lexicon.entries] == pytest.approx([0.375, 0.25, 0.375], abs=1e-15)
+    assert math.fsum(e.probability for e in lexicon.entries) == pytest.approx(1.0, abs=1e-12)
+    assert [e.first_index for e in lexicon.entries] == [1, 2, 3]
 
 
 def test_single_word_probability():
     lexicon = probabilities(apply_weights(build_lexicon(load_corpus([("d1", "olma"), ("d2", "")]))))
-    assert [e.probability for e in lexicon] == [1.0]
+    assert [e.probability for e in lexicon.entries] == [1.0]
 
 
 def test_equal_weights_split_evenly():
     corpus = load_corpus([("d1", "olma"), ("d2", "nok")])
     lexicon = probabilities(apply_weights(build_lexicon(corpus)))
-    assert [e.probability for e in lexicon] == pytest.approx([0.5, 0.5])
+    assert [e.probability for e in lexicon.entries] == pytest.approx([0.5, 0.5])
 
 
 def test_all_zero_weights():
@@ -109,7 +109,7 @@ def test_weight_monotone_in_total_count():
     # fixed idf (same m, n), increasing totals
     corpus = load_corpus([("d1", "a a a b c c"), ("d2", "x")])
     weighted = apply_weights(build_lexicon(corpus))
-    by_surface = {e.surface: e for e in weighted}
+    by_surface = {e.surface: e for e in weighted.entries}
     assert by_surface["b"].weight < by_surface["c"].weight < by_surface["a"].weight
 
 
@@ -123,10 +123,10 @@ def test_entries_share_floats_per_count_profile(mode):
         for doc, extra in zip("abcd", extras)
     ]
     lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts)), mode))
-    profiles = {(e.doc_frequency, e.total_count) for e in lexicon}
+    profiles = {(e.doc_frequency, e.total_count) for e in lexicon.entries}
     assert len(profiles) == len(lexicon.total_count) == 4 < lexicon.size == 51
-    assert len({id(e.weight) for e in lexicon}) == len(profiles)
-    assert len({id(e.probability) for e in lexicon}) == len(profiles)
+    assert len({id(e.weight) for e in lexicon.entries}) == len(profiles)
+    assert len({id(e.probability) for e in lexicon.entries}) == len(profiles)
 
 
 def test_weighting_stages_carry_the_member_lists_over(toy_lexicon):
