@@ -11,6 +11,7 @@ import stoplex.moments
 from stoplex import (
     DegenerateDistribution,
     DomainError,
+    IndexDistribution,
     Lexicon,
     MomentSummary,
     apply_weights,
@@ -219,6 +220,28 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
     groups = list(range(len(weights))) + [rng.randrange(len(weights)) for _ in range(n - len(weights))]
     rng.shuffle(groups)
     return weights, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_weights())
+@example(([1.0, 3.0], [0, 1, 0, 1, 0]))
+@example(([1e-8, 1e8], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # mass at both ends
+@example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
+def test_distribution_moments_are_the_exact_sums_rounded_once(case):
+    weights, groups = case
+    total = math.fsum(weights[g] for g in groups)
+    probs = [weights[g] / total for g in groups]
+    grouped = IndexDistribution(
+        tuple(w / total for w in weights),
+        array("I", groups),
+        tuple(array("I", [i for i, g in enumerate(groups, start=1) if g == group]) for group in range(len(weights))),
+    )
+    expected = exact_moments(probs)
+    for dist in (grouped, distribution(probs)):
+        assert computed_moments(dist) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
+            assert computed_moments(dist) == expected
 
 
 @settings(max_examples=300, deadline=None)
