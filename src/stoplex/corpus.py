@@ -145,6 +145,9 @@ class Lexicon:
     carries it over, so it is built once per lexicon (a replace that changes
     ``profile_ids`` must pass ``members=()``). The stages after build_lexicon
     read a profile's words from it.
+
+    ``entries`` is the one per-word row view, made for every word on each
+    call; no stage reads it.
     """
 
     surfaces: tuple[str, ...]
@@ -175,26 +178,12 @@ class Lexicon:
             raise DomainError(f"the {name} column is unset; the weighting step fills it")
         return values
 
-    def _profile_row(self, pid: int) -> tuple:
-        """The WordEntry fields after first_index of the words with profile ``pid``."""
-        return (
-            self.doc_frequency[pid],
-            self.total_count[pid],
-            self.idf[pid] if self.idf else None,
-            self.weight[pid] if self.weight else None,
-            self.probability[pid] if self.probability else None,
-        )
-
-    def row(self, position: int) -> WordEntry:
-        """The word at 0-based ``position`` (first_index position + 1) as a WordEntry."""
-        return WordEntry(
-            self.surfaces[position], position + 1, *self._profile_row(self.profile_ids[position])
-        )
-
     @property
     def entries(self) -> Iterator[WordEntry]:
         """Every word as a WordEntry row, in first_index order, made afresh on each call."""
-        profiles = [self._profile_row(pid) for pid in range(len(self.total_count))]
+        unset = (None,) * len(self.total_count)
+        columns = (self.idf or unset, self.weight or unset, self.probability or unset)
+        profiles = list(zip(self.doc_frequency, self.total_count, *columns))
         return (
             WordEntry(surface, first_index, *profiles[pid])
             for first_index, (surface, pid) in enumerate(zip(self.surfaces, self.profile_ids), start=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,8 @@ class RunConfig:
     """Everything one analysis run depends on; the CLI's options and defaults are these fields.
 
     A bad value raises ValueError. ``fraction`` is kept as the exact Fraction
-    of the decimal given (0.05 and "0.05" give 1/20).
+    of the decimal given (0.05 and "0.05" give 1/20), and ``z_critical`` as a
+    float (2 and Fraction(2) give 2.0).
     """
 
     inputs: tuple[str, ...]
@@ -67,9 +69,10 @@ class RunConfig:
         if not (0 < frac < 1 and 0.0 < float(frac) < 1.0):
             raise ValueError(f"fraction must lie in (0, 1), got {self.fraction!r}")
         object.__setattr__(self, "fraction", frac)
-        z = self.z_critical
-        if isinstance(z, bool) or not isinstance(z, Real) or not (z > 0 and math.isfinite(z)):
+        z = self.z_critical  # the run reads float(z), so z must neither overflow nor round to 0.0
+        if isinstance(z, bool) or not isinstance(z, Real) or not 0 < z <= sys.float_info.max or float(z) == 0:
             raise ValueError(f"z_critical must be a finite real number > 0, got {z!r}")
+        object.__setattr__(self, "z_critical", float(z))
         if not isinstance(self.plots, bool):
             raise ValueError(f"plots must be True or False, got {self.plots!r}")
         if self.xbar_mode not in XBAR_MODES:
@@ -255,11 +258,12 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     rows and the others whole, and only when every one is written do they
     replace the final names. A failed run leaves earlier outputs as they
     were and no temporary files, and removes the directories it created.
-    An output directory that cannot be made, because a file sits where one
-    of its directories should be, fails before any work is done.
+    An output directory that cannot be made (a file sits where one of its
+    directories should be), or a directory at an output name, fails before
+    any work is done.
     """
     with _stage("output_dir"):
-        _check_output_dir(Path(config.output_dir))
+        _check_output_dir(Path(config.output_dir), _output_names(config))
     with _stage("load_corpus"):
         files = collect_input_files(config.inputs, config.order)
         corpus = load_corpus_from_paths(files)
@@ -279,11 +283,10 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         summary = moment_summary(dist)
     with _stage("select_candidates"):
         stopwords = select_candidates(lexicon, config.fraction)
-    first_indices = [e.first_index for e in stopwords.candidates]
     with _stage("interval_coverage"):
-        coverage = interval_coverage(first_indices, summary)
+        coverage = interval_coverage(stopwords.first_indices, summary)
     with _stage("z_test"):
-        xbar = sample_mean_for(config.xbar_mode, lexicon.size, first_indices)
+        xbar = sample_mean_for(config.xbar_mode, lexicon.size, stopwords.first_indices)
         z_result = hypothesis_decision(lexicon.size, xbar, summary, config.z_critical)
     with _stage("verdict"):
         verdict = location_verdict(summary.asymmetry)
@@ -304,7 +307,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         "stopwords.txt": lambda: (export_list(stopwords),),
         "report.json": lambda: (report.to_json(),),
         "words.csv": lambda: _words_csv_chunks(lexicon),
-        "density.svg": lambda: (emit_density_plot(dist, first_indices, summary),),
+        "density.svg": lambda: (emit_density_plot(dist, stopwords.first_indices, summary),),
         "sorted.svg": lambda: (emit_sorted_plot(lexicon, stopwords.count),),
     }
     with _stage("write_outputs"):
@@ -312,16 +315,22 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     return report
 
 
-def _check_output_dir(out_dir: Path) -> None:
+def _check_output_dir(out_dir: Path, names: Iterable[str]) -> None:
     """Raise NotADirectoryError unless the nearest existing one of ``out_dir`` and its parents is a directory.
 
     A dangling symlink counts as existing, since no directory can be made
-    where it sits. It creates nothing, so a run that fails later leaves no
-    output directory.
+    where it sits. Raise IsADirectoryError when one of ``names`` in
+    ``out_dir`` is a directory and not a symlink (os.replace replaces a
+    link itself), so that no rename fails after others have replaced their
+    files. It creates nothing, so a run that fails later leaves no output
+    directory.
     """
     existing = next(d for d in (out_dir, *out_dir.parents) if d.exists() or d.is_symlink())
     if not existing.is_dir():
         raise NotADirectoryError(f"cannot make output directory {out_dir}: {existing} is not a directory")
+    for path in map(out_dir.joinpath, names):
+        if path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(f"cannot write output {path}: it is a directory")
 
 
 def _output_names(config: RunConfig) -> tuple[str, ...]:

@@ -9,13 +9,13 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator
 
-from .corpus import Lexicon, WordEntry
+from .corpus import Lexicon
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class StopwordSet:
-    """The selected candidates, sorted ascending by probability.
+    """The selected candidates by column, sorted ascending by probability.
 
     The three counts say how decisive the data was: the candidates are the
     ``below_threshold`` words plus ``count - below_threshold`` of the
@@ -24,14 +24,15 @@ class StopwordSet:
 
     fraction: float
     threshold: float  # maximum probability among the candidates
-    candidates: tuple[WordEntry, ...]
+    words: tuple[str, ...]  # the candidates' surfaces
+    first_indices: tuple[int, ...]  # their 1-based first indices, which the later stages read
     zero_weight_words: int  # words of the lexicon whose weight is 0.0
     below_threshold: int  # words of the lexicon with probability < threshold
     tied_at_threshold: int  # words of the lexicon with probability == threshold
 
     @property
     def count(self) -> int:
-        return len(self.candidates)
+        return len(self.words)
 
 
 def _as_fraction(fraction) -> Fraction:
@@ -98,13 +99,12 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     by_surface = lexicon.surfaces.__getitem__
     picked = [position for key in keys[:last] for position in sorted(positions(key), key=by_surface)]
     picked += heapq.nsmallest(k - taken, positions(keys[last]), key=by_surface)
-    candidates = tuple(map(lexicon.row, picked))
-
-    threshold = candidates[-1].probability
+    threshold = keys[last][0]  # the probability of the group it cuts, the last candidate's
     return StopwordSet(
         fraction=float(_as_fraction(fraction)),
         threshold=threshold,
-        candidates=candidates,
+        words=tuple(map(by_surface, picked)),
+        first_indices=tuple(position + 1 for position in picked),
         zero_weight_words=sum(words[pid] for pid, w in enumerate(lexicon.column("weight")) if w == 0.0),
         below_threshold=sum(size for (p, _), size in zip(keys, sizes) if p < threshold),
         tied_at_threshold=sum(size for (p, _), size in zip(keys, sizes) if p == threshold),
@@ -112,8 +112,8 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
 
 
 def export_list(stopwords: StopwordSet) -> str:
-    """One surface form per line in ascending probability order.
+    """The candidates' surface forms, one per line, in ascending probability order.
 
     Ends with a newline when nonempty; an empty set exports as "".
     """
-    return "".join(entry.surface + "\n" for entry in stopwords.candidates)
+    return "".join(word + "\n" for word in stopwords.words)

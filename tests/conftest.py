@@ -72,6 +72,12 @@ def index_probabilities(dist) -> tuple[float, ...]:
     return tuple(map(dist.values.__getitem__, dist.group_of))
 
 
+def candidate_entries(lexicon: Lexicon, stopwords) -> list:
+    """The WordEntry rows of the selected candidates, in selection order, from ``lexicon.entries``."""
+    rows = list(lexicon.entries)
+    return [rows[index - 1] for index in stopwords.first_indices]
+
+
 def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
     """Synthetic lexicon with given probabilities, for selector/position tests.
 

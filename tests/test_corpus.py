@@ -174,7 +174,8 @@ def test_determinism(toy_corpus):
 
 def test_lexicon_surface_lookup(toy_lexicon):
     position = toy_lexicon.surfaces.index("nok")
-    assert toy_lexicon.row(position).first_index == 2
+    row = list(toy_lexicon.entries)[position]
+    assert (row.surface, row.first_index) == ("nok", 2)
 
 
 def test_load_from_paths_reads_files_in_the_given_order(tmp_path):

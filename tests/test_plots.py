@@ -33,10 +33,6 @@ def toy_parts():
     return lexicon, dist, moment_summary(dist), select_candidates(lexicon, 0.4)
 
 
-def first_indices(selected) -> list[int]:
-    return [e.first_index for e in selected.candidates]
-
-
 def by_class(svg: str) -> dict[str, int]:
     root = ET.fromstring(svg)
     counts: dict[str, int] = {}
@@ -49,7 +45,7 @@ def by_class(svg: str) -> dict[str, int]:
 
 def test_density_plot_structure():
     _, dist, summary, selected = toy_parts()
-    svg = emit_density_plot(dist, first_indices(selected), summary)
+    svg = emit_density_plot(dist, selected.first_indices, summary)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.get("version") == "1.1"
@@ -69,7 +65,7 @@ def test_density_plot_empty_candidates():
 
 def test_density_plot_axis_labels():
     _, dist, summary, selected = toy_parts()
-    svg = emit_density_plot(dist, first_indices(selected), summary)
+    svg = emit_density_plot(dist, selected.first_indices, summary)
     assert "first-appearance index" in svg
     assert "probability" in svg
 
@@ -81,7 +77,7 @@ def test_density_plot_full_scale_fast_and_small():
     summary = moment_summary(dist)
     selected = select_candidates(lexicon, 0.05)
     start = time.perf_counter()
-    svg = emit_density_plot(dist, first_indices(selected), summary)
+    svg = emit_density_plot(dist, selected.first_indices, summary)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
@@ -100,7 +96,7 @@ def test_both_plots_small_at_100k_words(monkeypatch):
     summary = moment_summary(dist)
 
     def both_plots():
-        return emit_density_plot(dist, first_indices(selected), summary), emit_sorted_plot(lexicon, selected.count)
+        return emit_density_plot(dist, selected.first_indices, summary), emit_sorted_plot(lexicon, selected.count)
 
     for svg in both_plots():
         assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
@@ -124,7 +120,7 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
     selected = select_candidates(lexicon, 0.05)
     tracemalloc.start()
     try:
-        emit_density_plot(dist, first_indices(selected), summary)
+        emit_density_plot(dist, selected.first_indices, summary)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -146,7 +142,7 @@ def test_plots_map_far_fewer_points_than_words(monkeypatch):
         return x(frame, value)
 
     monkeypatch.setattr(stoplex.plots._Frame, "x", counted)
-    emit_density_plot(dist, first_indices(selected), moment_summary(dist))
+    emit_density_plot(dist, selected.first_indices, moment_summary(dist))
     emit_sorted_plot(lexicon, selected.count)
     # measured: 19 470 calls, 5 000 of them for the candidates of the density
     # plot, which are walked one by one; mapping every point costs 2N + 4
@@ -193,7 +189,7 @@ def test_sorted_plot_single_word():
 
 def test_plots_are_deterministic():
     lexicon, dist, summary, selected = toy_parts()
-    indices = first_indices(selected)
+    indices = selected.first_indices
     assert emit_density_plot(dist, indices, summary) == emit_density_plot(dist, indices, summary)
     assert emit_sorted_plot(lexicon, selected.count) == emit_sorted_plot(lexicon, selected.count)
 
@@ -238,7 +234,7 @@ def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scat
     lexicon = _profile_lexicon(profile_weights, ids)
     how = draw(candidates)
     if how == "select":
-        indices = first_indices(select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"]))))
+        indices = select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"]))).first_indices
     else:
         k = rng.randint(0, n) if how == "scattered" else max(n - rng.randint(0, 3), 0)
         indices = rng.sample(range(1, n + 1), k)
@@ -264,7 +260,7 @@ def assert_plots_match_oracle(lexicon, indices):
 
 def test_one_word_plots_match_oracle():
     lexicon = _profile_lexicon([1.0], [0])
-    for indices in (first_indices(select_candidates(lexicon, 0.05)), []):
+    for indices in (select_candidates(lexicon, 0.05).first_indices, []):
         assert_plots_match_oracle(lexicon, indices)
 
 

@@ -18,7 +18,7 @@ from stoplex import (
     tokenize,
 )
 
-from conftest import distribution, index_probabilities, make_lexicon
+from conftest import candidate_entries, distribution, index_probabilities, make_lexicon
 
 # --- strategies --------------------------------------------------------------
 
@@ -79,7 +79,7 @@ integer_weights = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1
 def test_scaling_weights_preserves_candidates(weights, scale):
     base = select_candidates(probabilities(make_lexicon([float(w) for w in weights])), 0.25)
     scaled = select_candidates(probabilities(make_lexicon([w * scale for w in weights])), 0.25)
-    assert [e.surface for e in base.candidates] == [e.surface for e in scaled.candidates]
+    assert base.words == scaled.words
 
 
 # --- corpus invariants -------------------------------------------------------
@@ -118,7 +118,7 @@ def test_corpus_duplication_invariance(sources):
         assert a.probability == b.probability
     base_sel = select_candidates(base_p, 0.25)
     doubled_sel = select_candidates(doubled_p, 0.25)
-    assert [e.surface for e in base_sel.candidates] == [e.surface for e in doubled_sel.candidates]
+    assert base_sel.words == doubled_sel.words
 
 
 # --- moment identities -------------------------------------------------------
@@ -201,11 +201,11 @@ def test_selection_size_and_order(weights, fraction):
     lexicon = probabilities(make_lexicon(weights))
     selected = select_candidates(lexicon, fraction)
     assert selected.count == candidate_count(lexicon.size, fraction)
-    probs = [e.probability for e in selected.candidates]
+    probs = [e.probability for e in candidate_entries(lexicon, selected)]
     assert probs == sorted(probs)
     assert selected.threshold == probs[-1]
     # no non-candidate has a smaller probability than any candidate
-    chosen = {e.surface for e in selected.candidates}
+    chosen = set(selected.words)
     rest = [e.probability for e in lexicon.entries if e.surface not in chosen]
     if rest:
         assert min(rest) >= selected.threshold or math.isclose(min(rest), selected.threshold)

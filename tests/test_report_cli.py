@@ -61,6 +61,18 @@ def test_pipeline_writes_outputs(tmp_path):
     assert set(report) == EXPECTED_TOP_KEYS
 
 
+def test_pipeline_builds_no_word_rows(tmp_path, monkeypatch):
+    # the stages after selection read the candidates' first indices, never a per-word row
+    def word_entry(*fields):
+        raise AssertionError("a WordEntry was built")
+
+    monkeypatch.setattr(stoplex.corpus, "WordEntry", word_entry)
+    report = run_pipeline(toy_config(tmp_path, plots=True))
+    assert report.stopwords.words == ("nok", "olma")
+    assert report.stopwords.first_indices == (2, 1)
+    assert (tmp_path / "sorted.svg").is_file()
+
+
 def test_report_schema_exact(tmp_path):
     report = run_pipeline(toy_config(tmp_path)).to_dict()
     assert set(report) == EXPECTED_TOP_KEYS
@@ -144,7 +156,8 @@ def test_config_validation(tmp_path):
     for inputs in (str(TOY_DIR), str(TOY_DIR).encode()):  # one path, not a sequence of them
         with pytest.raises(ValueError):
             toy_config(tmp_path, inputs=inputs)
-    for z_critical in ("1.96", True, None, complex(1.96)):
+    # the last two are > 0 and finite, but as floats they overflow or round to 0.0
+    for z_critical in ("1.96", True, None, complex(1.96), 10**400, Fraction(1, 10**400)):
         with pytest.raises(ValueError):
             toy_config(tmp_path, z_critical=z_critical)
     for plots in ("yes", 1, None):
@@ -156,6 +169,21 @@ def test_config_parses_the_fraction_once(tmp_path):
     configs = [toy_config(tmp_path, fraction=f) for f in ("0.05", 0.05, Fraction(1, 20))]
     assert configs[0] == configs[1] == configs[2]
     assert configs[0].fraction == Fraction(1, 20)
+
+
+def test_config_keeps_z_critical_as_a_float(tmp_path):
+    configs = [toy_config(tmp_path, z_critical=z) for z in (2, 2.0, Fraction(2))]
+    assert configs[0] == configs[1] == configs[2]
+    assert all(type(config.z_critical) is float for config in configs)
+    reports = []
+    for number, config in enumerate(configs):
+        run_pipeline(dataclasses.replace(config, output_dir=tmp_path / str(number)))
+        reports.append((tmp_path / str(number) / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    # json cannot write a Fraction, so a run that kept it would fail at its last step
+    run_pipeline(toy_config(tmp_path / "half", z_critical=Fraction(3, 2)))
+    report = json.loads((tmp_path / "half" / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["z_critical"] == report["z_test"]["critical"] == 1.5
 
 
 def test_report_rejects_a_non_finite_value_by_its_dotted_key(tmp_path):
@@ -263,6 +291,39 @@ def test_cli_out_under_a_file_exit_2_before_any_work(tmp_path, monkeypatch, caps
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dangling", "file"]
         assert (tmp_path / "file").is_file()
         assert (tmp_path / "dangling").is_symlink() and not (tmp_path / "dangling").exists()
+
+
+def test_cli_directory_at_an_output_name_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["analyze", str(TOY_DIR), "--fraction", "0.4", "--plots", "--out", str(out_dir)]) == 0
+    # the last output written: every rename before it would have replaced its file
+    (out_dir / "sorted.svg").unlink()
+    (out_dir / "sorted.svg").mkdir()
+    earlier = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+    assert len(earlier) == 4
+    capsys.readouterr()
+
+    def load_corpus_from_paths(paths):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(stoplex.report, "load_corpus_from_paths", load_corpus_from_paths)
+    args = [
+        "analyze", str(TOY_DIR), "--fraction", "0.4", "--averaging", "containing", "--plots",
+        "--out", str(out_dir),
+    ]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("stoplex: [output_dir] ")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*earlier, "sorted.svg"])
+    assert (out_dir / "sorted.svg").is_dir()
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == earlier
+    # os.replace over a symlink to a directory replaces the link, so that run goes ahead
+    monkeypatch.undo()
+    (out_dir / "sorted.svg").rmdir()
+    (tmp_path / "elsewhere").mkdir()
+    (out_dir / "sorted.svg").symlink_to(tmp_path / "elsewhere")
+    assert main(args) == 0
+    assert (out_dir / "sorted.svg").is_file() and not (out_dir / "sorted.svg").is_symlink()
+    assert (tmp_path / "elsewhere").is_dir()
 
 
 def _fail_last_output(monkeypatch):

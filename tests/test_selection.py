@@ -16,7 +16,7 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import make_lexicon
+from conftest import candidate_entries, make_lexicon
 
 
 def toy_probability_lexicon(toy_lexicon):
@@ -44,7 +44,7 @@ def test_toy_selection(toy_lexicon):
     lexicon = toy_probability_lexicon(toy_lexicon)
     selected = select_candidates(lexicon, 0.4)
     assert selected.count == 2
-    assert [e.surface for e in selected.candidates] == ["nok", "olma"]
+    assert selected.words == ("nok", "olma")
     assert selected.threshold == pytest.approx(0.375, abs=1e-15)
     assert selected.fraction == 0.4
 
@@ -54,14 +54,14 @@ def test_equal_probabilities_tie_break():
     lexicon = make_lexicon([1 / 20] * 20, surfaces=surfaces)
     selected = select_candidates(lexicon, 0.05)
     assert selected.count == 1
-    assert selected.candidates[0].surface == min(surfaces)
+    assert selected.words[0] == min(surfaces)
 
 
 def test_tie_break_prefers_lower_total_count():
     lexicon = make_lexicon([0.25, 0.25, 0.25, 0.25], counts=[9, 2, 9, 9])
     selected = select_candidates(lexicon, 0.3)  # k = 2
-    assert [e.total_count for e in selected.candidates] == [2, 9]
-    assert selected.candidates[1].surface == "w000001"
+    assert [e.total_count for e in candidate_entries(lexicon, selected)] == [2, 9]
+    assert selected.words[1] == "w000001"
 
 
 def test_full_scale_count():
@@ -74,7 +74,7 @@ def test_selection_is_deterministic(toy_lexicon):
     lexicon = toy_probability_lexicon(toy_lexicon)
     first = select_candidates(lexicon, 0.4)
     second = select_candidates(lexicon, 0.4)
-    assert [e.surface for e in first.candidates] == [e.surface for e in second.candidates]
+    assert first.words == second.words
     assert first == second
 
 
@@ -83,8 +83,8 @@ def test_zero_probability_words_selected_first():
     corpus = load_corpus([("d1", "a b c d e f"), ("d2", "a x y z w v")])
     lexicon = probabilities(apply_weights(build_lexicon(corpus)))
     selected = select_candidates(lexicon, 0.1)  # k = ceil(1.1) = 2 of 11
-    assert selected.candidates[0].surface == "a"
-    assert selected.candidates[0].probability == 0.0
+    assert selected.words[0] == "a"
+    assert candidate_entries(lexicon, selected)[0].probability == 0.0
 
 
 @pytest.mark.parametrize("mode", list(AveragingMode))
@@ -96,7 +96,7 @@ def test_equal_counts_tie_exactly_and_break_by_surface(mode):
     assert (rows["a"].doc_frequency, rows["a"].total_count) == (rows["b"].doc_frequency, rows["b"].total_count)
     assert rows["a"].weight == rows["b"].weight
     selected = select_candidates(lexicon, 0.5)  # k = ceil(1.5) = 2 of 3
-    assert [e.surface for e in selected.candidates] == ["a", "b"]
+    assert selected.words == ("a", "b")
     assert selected.tied_at_threshold == 2
 
 
@@ -109,7 +109,8 @@ def test_export_list_empty():
     empty = StopwordSet(
         fraction=0.05,
         threshold=0.0,
-        candidates=(),
+        words=(),
+        first_indices=(),
         zero_weight_words=0,
         below_threshold=0,
         tied_at_threshold=0,
@@ -140,7 +141,8 @@ def test_selection_equals_full_sort_under_ties(rows, fraction, data):
     ranked = sorted(lexicon.entries, key=lambda e: (e.probability, e.total_count, e.surface))
     k = candidate_count(lexicon.size, fraction)
     chosen = select_candidates(lexicon, fraction)
-    assert chosen.candidates == tuple(ranked[:k])
+    assert chosen.first_indices == tuple(e.first_index for e in ranked[:k])
+    assert chosen.words == tuple(e.surface for e in ranked[:k])
     assert chosen.threshold == ranked[k - 1].probability
 
 
@@ -189,7 +191,8 @@ def test_selection_ranks_permuted_profiles_together(texts):
         ranked = sorted(rows, key=lambda e: (e.probability, e.total_count, e.surface))
         for k in range(1, lexicon.size):
             chosen = select_candidates(lexicon, Fraction(k, lexicon.size))
-            assert chosen.candidates == tuple(ranked[:k])
+            assert chosen.first_indices == tuple(e.first_index for e in ranked[:k])
+            assert chosen.words == tuple(e.surface for e in ranked[:k])
             threshold = ranked[k - 1].probability
             assert chosen.threshold == threshold
             assert chosen.zero_weight_words == sum(e.weight == 0.0 for e in rows)
