@@ -112,19 +112,12 @@ class Corpus:
 
 
 class WordEntry(NamedTuple):
-    """A row view of one lexicon word: its surface and index plus its profile's row.
-
-    ``idf``, ``weight`` and ``probability`` are None while the lexicon's
-    column is unfilled.
-    """
+    """A row view of one lexicon word: its surface and index plus its profile's counts."""
 
     surface: str
     first_index: int  # 1-based rank by first appearance
     doc_frequency: int
     total_count: int
-    idf: float | None
-    weight: float | None
-    probability: float | None
 
 
 @dataclass(frozen=True)
@@ -135,16 +128,14 @@ class Lexicon:
     words share theirs with many others. Word k (first_index k + 1) is
     ``surfaces[k]`` with profile ``profile_ids[k]``. The table has one row
     per distinct profile, stored by column and indexed by profile id:
-    ``doc_frequency`` and ``total_count`` from build_lexicon, ``idf`` and
-    ``weight`` from apply_weights, ``probability`` from probabilities. A
-    number column stays empty until its stage fills it.
+    ``doc_frequency`` and ``total_count``. apply_weights and probabilities
+    return their columns by profile id, which the later stages take.
 
     ``members[p]`` is an array("I") of the ascending first indices of
-    profile p's words, the inverse of ``profile_ids``. It is built from
-    ``profile_ids`` when the lexicon is made without it, and dataclasses.replace
-    carries it over, so it is built once per lexicon (a replace that changes
-    ``profile_ids`` must pass ``members=()``). The stages after build_lexicon
-    read a profile's words from it.
+    profile p's words, the inverse of ``profile_ids``, built on every
+    construction. The stages after build_lexicon read a profile's words
+    from it. Raises DomainError when the columns differ in length or a
+    profile id has no row.
 
     ``entries`` is the one per-word row view, made for every word on each
     call; no stage reads it.
@@ -155,39 +146,35 @@ class Lexicon:
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
     doc_count: int  # documents in the corpus the words were counted in
-    idf: tuple[float, ...] = ()
-    weight: tuple[float, ...] = ()
-    probability: tuple[float, ...] = ()
-    members: tuple[array, ...] = field(default=(), repr=False, compare=False)
+    members: tuple[array, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.members) != len(self.total_count):
-            object.__setattr__(self, "members", _index_lists(self.profile_ids, len(self.total_count)))
+        profiles = len(self.total_count)
+        if len(self.surfaces) != len(self.profile_ids) or len(self.doc_frequency) != profiles:
+            raise DomainError("a lexicon needs one profile id per surface and one total per doc frequency")
+        try:
+            object.__setattr__(self, "members", _index_lists(self.profile_ids, profiles))
+        except IndexError:
+            raise DomainError(f"a profile id is outside the {profiles} profile rows") from None
 
     @property
     def size(self) -> int:
         return len(self.surfaces)
 
-    def column(self, name: str) -> tuple[float, ...]:
-        """The filled number column "idf", "weight" or "probability", by profile id.
-
-        Raises DomainError while the stage that fills it has not run.
-        """
-        values = getattr(self, name)
-        if len(values) != len(self.total_count):
-            raise DomainError(f"the {name} column is unset; the weighting step fills it")
-        return values
-
     @property
     def entries(self) -> Iterator[WordEntry]:
         """Every word as a WordEntry row, in first_index order, made afresh on each call."""
-        unset = (None,) * len(self.total_count)
-        columns = (self.idf or unset, self.weight or unset, self.probability or unset)
-        profiles = list(zip(self.doc_frequency, self.total_count, *columns))
+        profiles = list(zip(self.doc_frequency, self.total_count))
         return (
             WordEntry(surface, first_index, *profiles[pid])
             for first_index, (surface, pid) in enumerate(zip(self.surfaces, self.profile_ids), start=1)
         )
+
+
+def _check_profile_column(lexicon: Lexicon, values: Sequence, name: str) -> None:
+    """Raise DomainError unless ``values`` has one entry per profile row of ``lexicon``."""
+    if len(values) != len(lexicon.total_count):
+        raise DomainError(f"{len(values)} {name} values for {len(lexicon.total_count)} count profiles")
 
 
 def _index_lists(ids: array, n: int) -> tuple[array, ...]:
@@ -273,8 +260,7 @@ def build_lexicon(corpus: Corpus) -> Lexicon:
 
     ``counts_of`` is already in first-appearance order, so indices never
     depend on scheduling. Profile ids number the distinct (doc frequency,
-    total count) pairs in order of their first word. The number columns
-    stay empty; the weighting step fills them.
+    total count) pairs in order of their first word.
     """
     ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
     profile_ids = array("I", map(ids.__getitem__, corpus.counts_of.values()))

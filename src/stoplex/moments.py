@@ -47,8 +47,9 @@ class IndexDistribution:
     Group g has probability ``values[g]`` and the ascending 1-based indices
     ``members[g]``; index i is in group ``group_of[i - 1]``. Groups may
     share a value. density makes one from a lexicon's count profiles.
-    Raises DomainError unless there is at least one index, every value is
-    finite and >= 0, and the exact total is within 1e-12 of 1.
+    Raises DomainError unless there is at least one index, each group has
+    one value, the groups hold as many indices as ``group_of``, every value
+    is finite and >= 0, and the exact total is within 1e-12 of 1.
     """
 
     values: tuple[float, ...]
@@ -58,6 +59,8 @@ class IndexDistribution:
     def __post_init__(self):
         if not self.group_of:
             raise DomainError("a distribution needs at least one point")
+        if len(self.values) != len(self.members) or sum(map(len, self.members)) != len(self.group_of):
+            raise DomainError("a distribution needs one value per group and a group for every index")
         for p in self.values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
@@ -90,13 +93,13 @@ class MomentSummary:
     asymmetry: float
 
 
-def density(lexicon: Lexicon) -> IndexDistribution:
-    """Index distribution of a lexicon with probabilities filled in, grouped by count profile.
+def density(lexicon: Lexicon, probability: Sequence[float]) -> IndexDistribution:
+    """Index distribution of a lexicon's words, grouped by count profile, from the profiles' probabilities.
 
     It shares the lexicon's profile ids and member lists, so it takes one
     step per profile, not per word.
     """
-    return IndexDistribution(lexicon.column("probability"), lexicon.profile_ids, lexicon.members)
+    return IndexDistribution(probability, lexicon.profile_ids, lexicon.members)
 
 
 # indices per step of _power_sums: it holds two lists of Python ints (about

@@ -11,7 +11,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .corpus import Lexicon
 from .moments import IndexDistribution, MomentSummary
 
 _WIDTH = 800
@@ -198,22 +197,21 @@ def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], sum
     )
 
 
-def emit_sorted_plot(lexicon: Lexicon, k: int) -> str:
+def emit_sorted_plot(dist: IndexDistribution, k: int) -> str:
     """Probabilities in descending order with the selection cutoff marked.
 
     The cutoff line sits after rank N - k, separating the kept words from
     the k candidates at the low end of the curve. The curve is drawn from
-    the count profiles: each profile's words hold a run of ranks at one
+    the groups: each group's indices hold a run of ranks at one
     probability, and each run is drawn at its first rank in each pixel column.
     """
-    probability = lexicon.column("probability")
     runs = sorted(
-        ((value, len(words)) for value, words in zip(probability, lexicon.members) if words), reverse=True
+        ((value, len(indices)) for value, indices in zip(dist.values, dist.members) if indices), reverse=True
     )
     values, counts = zip(*runs) if runs else ((), ())
     starts = list(accumulate(counts, initial=1))  # each run's first rank
-    n = lexicon.size
-    frame = _frame(n, max(probability, default=0.0))
+    n = dist.size
+    frame = _frame(n, max(dist.values, default=0.0))
 
     def ranked(lo: int, hi: int) -> Iterator[tuple[int, float]]:
         """(rank, probability) at the first rank of each run in each pixel column of ranks lo..hi-1."""

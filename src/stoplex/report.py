@@ -20,7 +20,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._version import __version__
-from .corpus import ORDER_MODES, Lexicon, build_lexicon, collect_input_files, load_corpus_from_paths
+from .corpus import ORDER_MODES, Lexicon, _check_profile_column, build_lexicon, collect_input_files
+from .corpus import load_corpus_from_paths
 from .errors import DomainError, EmptyCorpus, NonFinite, StoplexError
 from .moments import MomentSummary, density, moment_summary
 from .plots import emit_density_plot, emit_sorted_plot
@@ -33,7 +34,7 @@ from .position import (
     location_verdict,
 )
 from .selection import StopwordSet, _as_fraction, export_list, select_candidates
-from .weighting import AveragingMode, apply_weights, probabilities
+from .weighting import AveragingMode, apply_weights, inverse_document_frequency, probabilities
 
 XBAR_MODES = ("midpoint", "candidates")
 
@@ -183,8 +184,11 @@ def _stage(name: str):
 def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[int]) -> float:
     """X-bar for the Z test: index-range midpoint, or the candidates' mean first index.
 
-    Raises DomainError for the candidates' mean of no first indices.
+    Raises DomainError for a mode outside XBAR_MODES, and for the
+    candidates' mean of no first indices.
     """
+    if xbar_mode not in XBAR_MODES:
+        raise DomainError(f"xbar_mode must be one of {XBAR_MODES}, got {xbar_mode!r}")
     if xbar_mode == "midpoint":
         return (lexicon_size + 1) / 2
     if not first_indices:
@@ -209,30 +213,30 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def words_csv(lexicon: Lexicon) -> str:
+def words_csv(lexicon: Lexicon, weight: Sequence[float], probability: Sequence[float]) -> str:
     """CSV word table in first_index order; floats use repr round-tripping.
 
     It is the text of the batches that runs stream to words.csv, joined.
-    Raises DomainError unless the idf, weight and probability columns are filled.
+    Raises DomainError unless there is one weight and one probability per profile.
     """
-    return "".join(_words_csv_chunks(lexicon))
+    return "".join(_words_csv_chunks(lexicon, weight, probability))
 
 
-def _words_csv_chunks(lexicon: Lexicon) -> Iterator[str]:
+def _words_csv_chunks(lexicon: Lexicon, weight: Sequence[float], probability: Sequence[float]) -> Iterator[str]:
     """The words.csv text as its header, then one str per batch of _WORDS_CSV_BATCH rows.
 
     The doc_frequency, idf, weight and probability fields depend only on
     the word's count profile, so their text is rendered once per profile,
-    here at call time: an unfilled column raises DomainError before any
-    chunk is taken. Whether a surface needs quoting is checked once per
-    batch, on the batch's surfaces joined, and per surface only in a batch
-    where some surface does.
+    here at call time: a column of the wrong length raises DomainError
+    before any chunk is taken. Whether a surface needs quoting is checked
+    once per batch, on the batch's surfaces joined, and per surface only in
+    a batch where some surface does.
     """
+    _check_profile_column(lexicon, weight, "weight")
+    _check_profile_column(lexicon, probability, "probability")
     numbers = [
-        f"{doc_frequency},{idf!r},{weight!r},{probability!r}\n"
-        for doc_frequency, idf, weight, probability in zip(
-            lexicon.doc_frequency, *map(lexicon.column, ("idf", "weight", "probability"))
-        )
+        f"{m},{inverse_document_frequency(lexicon.doc_count, m)!r},{w!r},{p!r}\n"
+        for m, w, p in zip(lexicon.doc_frequency, weight, probability)
     ]
 
     def chunks() -> Iterator[str]:
@@ -274,15 +278,15 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         lexicon = build_lexicon(corpus)
     del corpus  # later stages read only the lexicon; this frees the corpus's dict of pairs
     with _stage("weights"):
-        lexicon = apply_weights(lexicon, config.averaging)
+        weight = apply_weights(lexicon, config.averaging)
     with _stage("probabilities"):
-        lexicon = probabilities(lexicon)
+        probability = probabilities(lexicon, weight)
     with _stage("density"):
-        dist = density(lexicon)
+        dist = density(lexicon, probability)
     with _stage("moment_summary"):
         summary = moment_summary(dist)
     with _stage("select_candidates"):
-        stopwords = select_candidates(lexicon, config.fraction)
+        stopwords = select_candidates(lexicon, probability, config.fraction)
     with _stage("interval_coverage"):
         coverage = interval_coverage(stopwords.first_indices, summary)
     with _stage("z_test"):
@@ -306,9 +310,9 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     renderers = {
         "stopwords.txt": lambda: (export_list(stopwords),),
         "report.json": lambda: (report.to_json(),),
-        "words.csv": lambda: _words_csv_chunks(lexicon),
+        "words.csv": lambda: _words_csv_chunks(lexicon, weight, probability),
         "density.svg": lambda: (emit_density_plot(dist, stopwords.first_indices, summary),),
-        "sorted.svg": lambda: (emit_sorted_plot(lexicon, stopwords.count),),
+        "sorted.svg": lambda: (emit_sorted_plot(dist, stopwords.count),),
     }
     with _stage("write_outputs"):
         _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])

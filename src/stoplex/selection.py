@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .corpus import Lexicon
+from .corpus import Lexicon, _check_profile_column
 from .errors import DomainError
 
 
@@ -26,7 +26,9 @@ class StopwordSet:
     threshold: float  # maximum probability among the candidates
     words: tuple[str, ...]  # the candidates' surfaces
     first_indices: tuple[int, ...]  # their 1-based first indices, which the later stages read
-    zero_weight_words: int  # words of the lexicon whose weight is 0.0
+    # words of the lexicon in every document: those whose weight is 0.0, as idf
+    # is 0.0 only for m = n and otherwise at least ln(n/(n-1)) > 0
+    zero_weight_words: int
     below_threshold: int  # words of the lexicon with probability < threshold
     tied_at_threshold: int  # words of the lexicon with probability == threshold
 
@@ -36,15 +38,19 @@ class StopwordSet:
 
 
 def _as_fraction(fraction) -> Fraction:
+    """The exact Fraction of the decimal ``fraction`` is written as; DomainError when it reads as none."""
     if isinstance(fraction, Fraction):
         return fraction
-    if isinstance(fraction, (str, Decimal, int)):
-        return Fraction(fraction)
     if isinstance(fraction, float):
         # str() gives the shortest decimal that round-trips, recovering the
         # decimal the caller wrote (0.05 -> 1/20) instead of the binary float.
-        return Fraction(str(fraction))
-    raise DomainError(f"cannot read {fraction!r} as a selection fraction")
+        fraction = str(fraction)
+    elif not isinstance(fraction, (str, Decimal, int)):
+        raise DomainError(f"cannot read {fraction!r} as a selection fraction")
+    try:
+        return Fraction(fraction)
+    except (ValueError, OverflowError) as exc:  # "abc", nan, Decimal("inf")
+        raise DomainError(str(exc)) from None
 
 
 def candidate_count(size: int, fraction) -> int:
@@ -63,8 +69,8 @@ def candidate_count(size: int, fraction) -> int:
     return -((-numerator) // frac.denominator)
 
 
-def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
-    """Pick the ceil(fraction * N) lowest-probability words.
+def select_candidates(lexicon: Lexicon, probability: Sequence[float], fraction=0.05) -> StopwordSet:
+    """Pick the ceil(fraction * N) lowest-probability words, from the profiles' probabilities.
 
     Ties break on lower total term count first, then on the
     lexicographically smaller surface form, so reruns always produce the
@@ -76,10 +82,11 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
     both (a weight is a rounded float, and a hand-made lexicon's rows are
     arbitrary). Whole groups are taken in ascending order while they fit,
     and only the words of the last group are ranked, by surface. A group's
-    words are its profiles' member lists, joined.
+    words are its profiles' member lists, joined. Raises DomainError
+    unless there is one probability per profile.
     """
     k = candidate_count(lexicon.size, fraction)
-    probability = lexicon.column("probability")
+    _check_profile_column(lexicon, probability, "probability")
     words = list(map(len, lexicon.members))
     groups: dict[tuple[float, int], list[int]] = {}
     for pid, key in enumerate(zip(probability, lexicon.total_count)):
@@ -105,7 +112,7 @@ def select_candidates(lexicon: Lexicon, fraction=0.05) -> StopwordSet:
         threshold=threshold,
         words=tuple(map(by_surface, picked)),
         first_indices=tuple(position + 1 for position in picked),
-        zero_weight_words=sum(words[pid] for pid, w in enumerate(lexicon.column("weight")) if w == 0.0),
+        zero_weight_words=sum(n for n, m in zip(words, lexicon.doc_frequency) if m == lexicon.doc_count),
         below_threshold=sum(size for (p, _), size in zip(keys, sizes) if p < threshold),
         tied_at_threshold=sum(size for (p, _), size in zip(keys, sizes) if p == threshold),
     )

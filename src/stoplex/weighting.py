@@ -17,11 +17,11 @@ and makes results independent of any evaluation schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from enum import Enum
 from operator import mul
+from typing import Sequence
 
-from .corpus import Lexicon
+from .corpus import Lexicon, _check_profile_column
 from .errors import AllZeroWeights, DomainError
 from .moments import _dyadic
 
@@ -46,41 +46,36 @@ def inverse_document_frequency(n_docs: int, doc_frequency: int) -> float:
     return math.log(n_docs / doc_frequency)
 
 
-def apply_weights(
-    lexicon: Lexicon, mode: AveragingMode | str = AveragingMode.ALL_DOCS
-) -> Lexicon:
-    """Return the lexicon with its idf and weight columns filled.
+def apply_weights(lexicon: Lexicon, mode: AveragingMode | str = AveragingMode.ALL_DOCS) -> tuple[float, ...]:
+    """The weight of each count profile, by profile id.
 
     A profile's weight is idf * total_count, the exact sum of count * idf
     over its documents rounded once, divided by n (ALL_DOCS) or m
     (CONTAINING_DOCS). Documents without the word would only add exact
-    zeros to that sum. Both numbers are computed once per count profile;
-    any probability column is cleared.
+    zeros to that sum.
     """
     mode = AveragingMode(mode)
     n_docs = lexicon.doc_count
     all_docs = mode is AveragingMode.ALL_DOCS
-    idf = tuple(inverse_document_frequency(n_docs, m) for m in lexicon.doc_frequency)
-    weight = tuple(
-        profile_idf * total / (n_docs if all_docs else m)
-        for m, total, profile_idf in zip(lexicon.doc_frequency, lexicon.total_count, idf)
+    return tuple(
+        inverse_document_frequency(n_docs, m) * total / (n_docs if all_docs else m)
+        for m, total in zip(lexicon.doc_frequency, lexicon.total_count)
     )
-    return replace(lexicon, idf=idf, weight=weight, probability=())
 
 
-def probabilities(lexicon: Lexicon) -> Lexicon:
-    """Return the lexicon with its probability column filled.
+def probabilities(lexicon: Lexicon, weight: Sequence[float]) -> tuple[float, ...]:
+    """The probability of each count profile's words, by profile id, from the profiles' weights.
 
     The normalizing total is the exact sum over profiles of the profile's
-    word count times its weight, rounded once. Raises AllZeroWeights when
-    it is zero, which happens exactly when every word occurs in every
-    document: such a corpus carries no tf-idf signal and cannot be analyzed
-    by this method.
+    word count times its weight, rounded once. Raises DomainError unless
+    there is one weight per profile, and AllZeroWeights when the total is
+    zero, which happens exactly when every word occurs in every document:
+    such a corpus carries no tf-idf signal and cannot be analyzed by this
+    method.
     """
-    scaled, scale = _dyadic(lexicon.column("weight"))
+    _check_profile_column(lexicon, weight, "weight")
+    scaled, scale = _dyadic(weight)
     total = sum(map(mul, scaled, map(len, lexicon.members))) / scale
     if total <= 0.0:
-        raise AllZeroWeights(
-            "all weights are zero (every word occurs in every document)"
-        )
-    return replace(lexicon, probability=tuple(w / total for w in lexicon.weight))
+        raise AllZeroWeights("all weights are zero (every word occurs in every document)")
+    return tuple(w / total for w in weight)

@@ -2,10 +2,19 @@ import string
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from stoplex import IndexDistribution, Lexicon, build_lexicon, load_corpus
+from stoplex import (
+    IndexDistribution,
+    Lexicon,
+    apply_weights,
+    build_lexicon,
+    inverse_document_frequency,
+    load_corpus,
+    probabilities,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 TOY_DIR = DATA_DIR / "corpus_t"
@@ -72,31 +81,68 @@ def index_probabilities(dist) -> tuple[float, ...]:
     return tuple(map(dist.values.__getitem__, dist.group_of))
 
 
-def candidate_entries(lexicon: Lexicon, stopwords) -> list:
-    """The WordEntry rows of the selected candidates, in selection order, from ``lexicon.entries``."""
-    rows = list(lexicon.entries)
+def probability_of(lexicon: Lexicon) -> tuple[float, ...]:
+    """The probability of each count profile of ``lexicon``, by profile id, with the default weights."""
+    return probabilities(lexicon, apply_weights(lexicon))
+
+
+def per_word(lexicon: Lexicon, column) -> tuple:
+    """Each word's value in ``column``, a column of ``lexicon``'s count profiles, in first_index order."""
+    return tuple(map(column.__getitem__, lexicon.profile_ids))
+
+
+class WordRow(NamedTuple):
+    """A word's WordEntry fields and its profile's idf, weight and probability."""
+
+    surface: str
+    first_index: int
+    doc_frequency: int
+    total_count: int
+    idf: float
+    weight: float
+    probability: float
+
+
+def profile_idf(lexicon: Lexicon) -> tuple[float, ...]:
+    """The idf of each count profile of ``lexicon``, by profile id, as words_csv renders it."""
+    return tuple(inverse_document_frequency(lexicon.doc_count, m) for m in lexicon.doc_frequency)
+
+
+def word_rows(lexicon: Lexicon, weight, probability) -> list[WordRow]:
+    """Every word as a WordRow, in first_index order, from ``lexicon.entries`` and its profile columns."""
+    numbers = zip(*(per_word(lexicon, column) for column in (profile_idf(lexicon), weight, probability)))
+    return [WordRow(*entry, *row) for entry, row in zip(lexicon.entries, numbers)]
+
+
+def candidate_rows(lexicon: Lexicon, weight, probability, stopwords) -> list[WordRow]:
+    """The WordRows of the selected candidates, in selection order."""
+    rows = word_rows(lexicon, weight, probability)
     return [rows[index - 1] for index in stopwords.first_indices]
 
 
-def make_lexicon(probabilities, counts=None, surfaces=None) -> Lexicon:
-    """Synthetic lexicon with given probabilities, for selector/position tests.
+def make_lexicon(values, counts=None, surfaces=None) -> tuple[Lexicon, tuple[float, ...]]:
+    """A synthetic lexicon for selector/position tests, and ``values`` as its one number column.
 
-    Word k gets a count profile of its own, doc frequency 1 and total
-    counts[k] (by default 1), with idf 1.0 and both weight and probability
-    probabilities[k].
+    Word k gets a count profile of its own, total counts[k] (by default 1),
+    so ``values`` is both per profile and per word; it serves as weights
+    and as probabilities. Of the 2 documents, a word of value 0.0 is in
+    both, so it counts as a zero-weight word, and any other word in one.
     """
-    n = len(probabilities)
-    totals = tuple(counts) if counts is not None else (1,) * n
-    return Lexicon(
+    n = len(values)
+    lexicon = Lexicon(
         surfaces=tuple(surfaces) if surfaces is not None else tuple(f"w{k:06d}" for k in range(1, n + 1)),
         profile_ids=array("I", range(n)),
-        doc_frequency=(1,) * n,
-        total_count=totals,
+        doc_frequency=tuple(2 if value == 0.0 else 1 for value in values),
+        total_count=tuple(counts) if counts is not None else (1,) * n,
         doc_count=2,
-        idf=(1.0,) * n,
-        weight=tuple(probabilities),
-        probability=tuple(probabilities),
     )
+    return lexicon, tuple(values)
+
+
+def weighted_lexicon(weights) -> tuple[Lexicon, tuple[float, ...]]:
+    """``make_lexicon(weights)``'s lexicon and the probabilities its weights normalize to."""
+    lexicon, weight = make_lexicon(weights)
+    return lexicon, probabilities(lexicon, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+from typing import Iterable
 
-from stoplex import Lexicon
 
-
-def words_csv(lexicon: Lexicon) -> str:
-    """CSV word table in first_index order; floats use repr round-tripping."""
+def words_csv(rows: Iterable) -> str:
+    """CSV word table of rows with the fields of conftest.WordRow, in order; floats use repr round-tripping."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["word", "first_index", "doc_frequency", "idf", "weight", "probability"])
-    for e in lexicon.entries:
+    for e in rows:
         writer.writerow([e.surface, e.first_index, e.doc_frequency, e.idf, e.weight, e.probability])
     return buffer.getvalue()

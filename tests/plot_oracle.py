@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import chain, islice, repeat
 from typing import Iterable, Sequence
 
-from stoplex import Lexicon, MomentSummary
+from stoplex import MomentSummary
 from stoplex.plots import (
     _AXIS_COLOR,
     _CANDIDATE_COLOR,
@@ -101,19 +101,17 @@ def emit_density_plot(probs: Sequence[float], first_indices: Sequence[int], summ
     )
 
 
-def emit_sorted_plot(lexicon: Lexicon, k: int) -> str:
+def emit_sorted_plot(probability: Sequence[float], profile_ids: Sequence[int], k: int) -> str:
     """Probabilities in descending order with the selection cutoff marked.
 
     The cutoff line sits after rank N - k, separating the kept words from
     the k candidates at the low end of the curve. The curve is drawn from
-    the count profiles' probabilities, each repeated once per word.
+    the count profiles' probabilities, each repeated once per word: once
+    per entry of ``profile_ids`` that names the profile.
     """
-    words = Counter(lexicon.profile_ids)
-    profiles = sorted(
-        ((value, words[pid]) for pid, value in enumerate(lexicon.column("probability"))),
-        reverse=True,
-    )
-    n = lexicon.size
+    words = Counter(profile_ids)
+    profiles = sorted(((value, words[pid]) for pid, value in enumerate(probability)), reverse=True)
+    n = len(profile_ids)
     probs = chain.from_iterable(repeat(value, count) for value, count in profiles)
     ranked = enumerate(probs, start=1)  # ranks up to N - k are kept words, the rest candidates
     return _scatter(

@@ -26,7 +26,16 @@ from stoplex import (
 )
 from stoplex.cli import main
 
-from conftest import TOY_DIR, TOY_SOURCES, distribution, index_probabilities, make_lexicon
+from conftest import (
+    TOY_DIR,
+    TOY_SOURCES,
+    distribution,
+    index_probabilities,
+    make_lexicon,
+    per_word,
+    weighted_lexicon,
+    word_rows,
+)
 
 
 def test_criterion_1_z_score_checkpoint(criterion):
@@ -38,11 +47,11 @@ def test_criterion_1_z_score_checkpoint(criterion):
 def test_criterion_2_candidate_count_checkpoint(criterion):
     with criterion(2, "5% of any 12837-entry lexicon selects exactly 642 candidates"):
         uniform = make_lexicon([1 / 12837] * 12837)
-        assert select_candidates(uniform, 0.05).count == 642
+        assert select_candidates(*uniform, 0.05).count == 642
         rng = np.random.default_rng(7)
         weights = rng.random(12837) + 1e-6
-        random_lexicon = probabilities(make_lexicon(weights.tolist()))
-        assert select_candidates(random_lexicon, 0.05).count == 642
+        random_lexicon = weighted_lexicon(weights.tolist())
+        assert select_candidates(*random_lexicon, 0.05).count == 642
 
 
 def test_criterion_3_coverage_checkpoint(criterion):
@@ -111,8 +120,9 @@ def test_criterion_5_toy_corpus_pipeline(criterion, tmp_path):
         report = run_pipeline(config)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1
-        lexicon = probabilities(apply_weights(build_lexicon(load_corpus(TOY_SOURCES))))
-        assert [e.probability for e in lexicon.entries] == pytest.approx([0.375, 0.25, 0.375], abs=1e-12)
+        lexicon = build_lexicon(load_corpus(TOY_SOURCES))
+        probability = per_word(lexicon, probabilities(lexicon, apply_weights(lexicon)))
+        assert list(probability) == pytest.approx([0.375, 0.25, 0.375], abs=1e-12)
         m = report.moments
         assert m.expectation == pytest.approx(2.0, abs=1e-12)
         assert m.dispersion == pytest.approx(0.75, abs=1e-12)
@@ -129,8 +139,8 @@ def test_criterion_6_randomized_property_suite(criterion):
             # normalization through the weighting path
             n_weights = int(2 ** rng.uniform(0, 10))
             weights = rng.lognormal(mean=rng.uniform(-6, 6), sigma=2.0, size=n_weights)
-            lexicon = probabilities(make_lexicon(weights.tolist()))
-            assert abs(math.fsum(e.probability for e in lexicon.entries) - 1.0) <= 1e-12
+            _, probability = weighted_lexicon(weights.tolist())
+            assert abs(math.fsum(probability) - 1.0) <= 1e-12
 
             # moment identities on a random distribution, N <= 10^4
             n = min(int(2 ** rng.uniform(1, 13.2877)) + 1, 10**4)
@@ -173,29 +183,28 @@ def test_criterion_7_invariance_suite(criterion, tmp_path):
             if all(e.doc_frequency == n_docs for e in base.entries):
                 continue  # no tf-idf signal; duplication preserves the error too
             effective += 1
-            base_p = probabilities(apply_weights(base))
+            base_w = apply_weights(base)
+            base_p = probabilities(base, base_w)
             doubled_sources = [(f"{n}a", t) for n, t in sources] + [(f"{n}b", t) for n, t in sources]
-            doubled_p = probabilities(apply_weights(build_lexicon(load_corpus(doubled_sources))))
-            for a, b in zip(base_p.entries, doubled_p.entries):
+            doubled = build_lexicon(load_corpus(doubled_sources))
+            doubled_w = apply_weights(doubled)
+            doubled_p = probabilities(doubled, doubled_w)
+            for a, b in zip(word_rows(base, base_w, base_p), word_rows(doubled, doubled_w, doubled_p)):
                 assert a.surface == b.surface
                 assert a.idf == b.idf
                 assert a.weight == b.weight
                 assert a.probability == b.probability
-            base_sel = select_candidates(base_p, 0.25)
-            doubled_sel = select_candidates(doubled_p, 0.25)
+            base_sel = select_candidates(base, base_p, 0.25)
+            doubled_sel = select_candidates(doubled, doubled_p, 0.25)
             assert base_sel.words == doubled_sel.words
 
             # uniform weight scaling
             for scale in (0.125, 3.7, 1e5):
-                scaled = probabilities(
-                    make_lexicon([e.weight * scale for e in apply_weights(base).entries])
-                )
-                reference = probabilities(
-                    make_lexicon([e.weight for e in apply_weights(base).entries])
-                )
-                for a, b in zip(reference.entries, scaled.entries):
-                    assert b.probability == pytest.approx(a.probability, abs=1e-12)
-                assert select_candidates(reference, 0.25).words == select_candidates(scaled, 0.25).words
+                scaled = weighted_lexicon([w * scale for w in per_word(base, apply_weights(base))])
+                reference = weighted_lexicon(per_word(base, apply_weights(base)))
+                for a, b in zip(reference[1], scaled[1]):
+                    assert b == pytest.approx(a, abs=1e-12)
+                assert select_candidates(*reference, 0.25).words == select_candidates(*scaled, 0.25).words
         assert effective >= 50
 
         # rerun determinism: byte-identical outputs

@@ -1,6 +1,8 @@
 import random
 import sys
 import tracemalloc
+from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +11,8 @@ from stoplex import (
     DecodeError,
     DomainError,
     EmptyCorpus,
+    Lexicon,
+    WordEntry,
     build_lexicon,
     collect_input_files,
     load_corpus,
@@ -139,7 +143,30 @@ def test_toy_lexicon_entries(toy_lexicon):
     assert [e.total_count for e in toy_lexicon.entries] == [3, 2, 3]  # olma 2 + 1, nok 1 + 1, uzum 1 + 2
     assert toy_lexicon.doc_count == 3
     assert all(e.doc_frequency == 2 for e in toy_lexicon.entries)
-    assert all(e.idf is None and e.weight is None and e.probability is None for e in toy_lexicon.entries)
+    assert WordEntry._fields == ("surface", "first_index", "doc_frequency", "total_count")
+
+
+def test_replace_rebuilds_the_member_lists(toy_lexicon):
+    assert toy_lexicon.members == (array("I", [1, 3]), array("I", [2]))  # olma and uzum share (2, 3)
+    swapped = replace(toy_lexicon, profile_ids=array("I", [1, 0, 1]))
+    assert swapped.members == (array("I", [2]), array("I", [1, 3]))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"surfaces": ("olma", "nok", "uzum", "anor")},  # 4 surfaces, 3 profile ids
+        {"profile_ids": array("I", [0, 1])},  # 3 surfaces, 2 profile ids
+        {"doc_frequency": (2,)},  # 1 doc frequency, 2 totals
+        {"total_count": (3, 2, 1)},  # 2 doc frequencies, 3 totals
+        {"profile_ids": array("I", [0, 2, 0])},  # profile 2 has no row
+    ],
+    ids=["surplus-surface", "missing-profile-id", "missing-total", "surplus-total", "profile-id-out-of-range"],
+)
+def test_lexicon_rejects_mismatched_columns(toy_lexicon, change):
+    fields = {name: getattr(toy_lexicon, name) for name in Lexicon.__dataclass_fields__ if name != "members"}
+    with pytest.raises(DomainError):
+        Lexicon(**fields | change)
 
 
 def test_single_doc_lexicon():

@@ -14,7 +14,6 @@ from stoplex import (
     IndexDistribution,
     Lexicon,
     MomentSummary,
-    apply_weights,
     build_lexicon,
     check_table_consistency,
     density,
@@ -23,7 +22,7 @@ from stoplex import (
     probabilities,
 )
 
-from conftest import distribution, index_probabilities, six_profile_corpus
+from conftest import distribution, index_probabilities, per_word, probability_of, six_profile_corpus
 
 TOY_P = (0.375, 0.25, 0.375)
 
@@ -33,20 +32,21 @@ def toy_distribution():
 
 
 def test_density_copies_probabilities(toy_lexicon):
-    lexicon = probabilities(apply_weights(toy_lexicon))
-    dist = density(lexicon)
+    dist = density(toy_lexicon, probability_of(toy_lexicon))
     assert tuple(enumerate(index_probabilities(dist), start=1)) == ((1, 0.375), (2, 0.25), (3, 0.375))
-    assert dist.size == lexicon.size
+    assert dist.size == toy_lexicon.size
 
 
 def test_density_requires_probabilities(toy_lexicon):
-    with pytest.raises(DomainError):
-        density(toy_lexicon)
+    probability = probability_of(toy_lexicon)
+    for wrong in ((), probability[:1], probability + (0.0,)):
+        with pytest.raises(DomainError):
+            density(toy_lexicon, wrong)
 
 
 def test_single_point_density():
-    corpus = load_corpus([("d1", "olma"), ("d2", "")])
-    dist = density(probabilities(apply_weights(build_lexicon(corpus))))
+    lexicon = build_lexicon(load_corpus([("d1", "olma"), ("d2", "")]))
+    dist = density(lexicon, probability_of(lexicon))
     assert tuple(enumerate(index_probabilities(dist), start=1)) == ((1, 1.0),)
 
 
@@ -59,6 +59,21 @@ def test_distribution_validation():
         distribution((0.5, 0.4))  # sums to 0.9
     with pytest.raises(DomainError):
         distribution((float("nan"), 1.0))
+
+
+@pytest.mark.parametrize(
+    "values, group_of, members",
+    [
+        ((0.5,), [0, 1, 0], ([1, 3], [2])),  # index 2's group has no value
+        ((1.0, 7.0), [0], ([1],)),  # a value with no group
+        ((1.0,), [0, 0], ([1],)),  # index 2 in no group's members
+        ((0.5, 0.0), [0, 1], ([1, 2], [1])),  # three members for two indices
+    ],
+    ids=["group-without-value", "value-without-group", "index-in-no-group", "surplus-member"],
+)
+def test_distribution_rejects_mismatched_groups(values, group_of, members):
+    with pytest.raises(DomainError):
+        IndexDistribution(values, array("I", group_of), tuple(array("I", m) for m in members))
 
 
 def test_raw_moments_toy():
@@ -180,8 +195,7 @@ def test_reported_corpus_table_flags_dispersion_column():
 
 
 def test_consistency_passes_for_computed_summaries(toy_lexicon):
-    lexicon = probabilities(apply_weights(toy_lexicon))
-    s = moment_summary(density(lexicon))
+    s = moment_summary(density(toy_lexicon, probability_of(toy_lexicon)))
     assert check_table_consistency(s) == []
     assert check_table_consistency(s, sigma_cubed=s.std_dev**3) == []
 
@@ -253,19 +267,16 @@ def test_distribution_moments_are_the_exact_sums_rounded_once(case):
 @example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
 def test_density_moments_are_the_exact_sums_rounded_once(case):
     weights, profile_ids = case
-    lexicon = probabilities(
-        Lexicon(
-            surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
-            profile_ids=array("I", profile_ids),
-            doc_frequency=(1,) * len(weights),
-            total_count=tuple(range(1, len(weights) + 1)),
-            doc_count=2,
-            idf=(1.0,) * len(weights),
-            weight=tuple(weights),
-        )
+    lexicon = Lexicon(
+        surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
+        profile_ids=array("I", profile_ids),
+        doc_frequency=(1,) * len(weights),
+        total_count=tuple(range(1, len(weights) + 1)),
+        doc_count=2,
     )
-    dist = density(lexicon)
-    expected = exact_moments([lexicon.probability[pid] for pid in profile_ids])
+    probability = probabilities(lexicon, tuple(weights))
+    dist = density(lexicon, probability)
+    expected = exact_moments(per_word(lexicon, probability))
     assert computed_moments(dist) == expected
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
@@ -274,10 +285,11 @@ def test_density_moments_are_the_exact_sums_rounded_once(case):
 
 def test_density_retains_under_one_byte_per_word():
     n_words = 100_000
-    lexicon = probabilities(apply_weights(build_lexicon(six_profile_corpus(n_words))))
+    lexicon = build_lexicon(six_profile_corpus(n_words))
+    probability = probability_of(lexicon)
     tracemalloc.start()
     try:
-        dist = density(lexicon)
+        dist = density(lexicon, probability)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

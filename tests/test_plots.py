@@ -11,7 +11,6 @@ import stoplex.plots
 from stoplex import (
     Lexicon,
     MomentSummary,
-    apply_weights,
     build_lexicon,
     density,
     emit_density_plot,
@@ -22,15 +21,29 @@ from stoplex import (
     select_candidates,
 )
 
-from conftest import TOY_SOURCES, distribution, letter_code, make_lexicon, six_profile_corpus
+from conftest import (
+    TOY_SOURCES,
+    distribution,
+    letter_code,
+    make_lexicon,
+    per_word,
+    probability_of,
+    six_profile_corpus,
+)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
+def weighted_parts(lexicon):
+    """The lexicon's probabilities with the default weights, by profile id, and its distribution."""
+    probability = probability_of(lexicon)
+    return probability, density(lexicon, probability)
+
+
 def toy_parts():
-    lexicon = probabilities(apply_weights(build_lexicon(load_corpus(TOY_SOURCES))))
-    dist = density(lexicon)
-    return lexicon, dist, moment_summary(dist), select_candidates(lexicon, 0.4)
+    lexicon = build_lexicon(load_corpus(TOY_SOURCES))
+    probability, dist = weighted_parts(lexicon)
+    return dist, moment_summary(dist), select_candidates(lexicon, probability, 0.4)
 
 
 def by_class(svg: str) -> dict[str, int]:
@@ -44,7 +57,7 @@ def by_class(svg: str) -> dict[str, int]:
 
 
 def test_density_plot_structure():
-    _, dist, summary, selected = toy_parts()
+    dist, summary, selected = toy_parts()
     svg = emit_density_plot(dist, selected.first_indices, summary)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
@@ -56,7 +69,7 @@ def test_density_plot_structure():
 
 
 def test_density_plot_empty_candidates():
-    _, dist, summary, _ = toy_parts()
+    dist, summary, _ = toy_parts()
     counts = by_class(emit_density_plot(dist, [], summary))
     assert counts.get("stopword", 0) == 0
     assert counts.get("word", 0) == 3
@@ -64,7 +77,7 @@ def test_density_plot_empty_candidates():
 
 
 def test_density_plot_axis_labels():
-    _, dist, summary, selected = toy_parts()
+    dist, summary, selected = toy_parts()
     svg = emit_density_plot(dist, selected.first_indices, summary)
     assert "first-appearance index" in svg
     assert "probability" in svg
@@ -72,10 +85,9 @@ def test_density_plot_axis_labels():
 
 def test_density_plot_full_scale_fast_and_small():
     n = 12837
-    lexicon = make_lexicon([1 / n] * n)
     dist = distribution(1 / n for _ in range(n))
     summary = moment_summary(dist)
-    selected = select_candidates(lexicon, 0.05)
+    selected = select_candidates(*make_lexicon([1 / n] * n), 0.05)
     start = time.perf_counter()
     svg = emit_density_plot(dist, selected.first_indices, summary)
     elapsed = time.perf_counter() - start
@@ -89,14 +101,14 @@ def test_both_plots_small_at_100k_words(monkeypatch):
     rng = random.Random(7)
     weights = [rng.paretovariate(1.0) for _ in range(n)]
     total = sum(weights)
-    lexicon = make_lexicon([w / total for w in weights])
-    dist = density(lexicon)
-    selected = select_candidates(lexicon, 0.05)
+    lexicon, probability = make_lexicon([w / total for w in weights])
+    dist = density(lexicon, probability)
+    selected = select_candidates(lexicon, probability, 0.05)
 
     summary = moment_summary(dist)
 
     def both_plots():
-        return emit_density_plot(dist, selected.first_indices, summary), emit_sorted_plot(lexicon, selected.count)
+        return emit_density_plot(dist, selected.first_indices, summary), emit_sorted_plot(dist, selected.count)
 
     for svg in both_plots():
         assert len(svg.encode("utf-8")) < 5 * 1024 * 1024
@@ -114,10 +126,10 @@ def test_both_plots_small_at_100k_words(monkeypatch):
 
 def test_density_plot_memory_is_far_below_one_point_per_word():
     n_words = 100_000
-    lexicon = probabilities(apply_weights(build_lexicon(six_profile_corpus(n_words))))
-    dist = density(lexicon)
+    lexicon = build_lexicon(six_profile_corpus(n_words))
+    probability, dist = weighted_parts(lexicon)
     summary = moment_summary(dist)
-    selected = select_candidates(lexicon, 0.05)
+    selected = select_candidates(lexicon, probability, 0.05)
     tracemalloc.start()
     try:
         emit_density_plot(dist, selected.first_indices, summary)
@@ -130,9 +142,9 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
 
 
 def test_plots_map_far_fewer_points_than_words(monkeypatch):
-    lexicon = probabilities(apply_weights(build_lexicon(six_profile_corpus(100_000))))
-    dist = density(lexicon)
-    selected = select_candidates(lexicon, 0.05)
+    lexicon = build_lexicon(six_profile_corpus(100_000))
+    probability, dist = weighted_parts(lexicon)
+    selected = select_candidates(lexicon, probability, 0.05)
     calls = 0
     x = stoplex.plots._Frame.x
 
@@ -143,15 +155,15 @@ def test_plots_map_far_fewer_points_than_words(monkeypatch):
 
     monkeypatch.setattr(stoplex.plots._Frame, "x", counted)
     emit_density_plot(dist, selected.first_indices, moment_summary(dist))
-    emit_sorted_plot(lexicon, selected.count)
+    emit_sorted_plot(dist, selected.count)
     # measured: 19 470 calls, 5 000 of them for the candidates of the density
     # plot, which are walked one by one; mapping every point costs 2N + 4
     assert calls < lexicon.size // 4
 
 
 def test_sorted_plot_structure():
-    lexicon, _, _, selected = toy_parts()
-    svg = emit_sorted_plot(lexicon, selected.count)
+    dist, _, selected = toy_parts()
+    svg = emit_sorted_plot(dist, selected.count)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     counts = by_class(svg)
@@ -161,8 +173,8 @@ def test_sorted_plot_structure():
 
 
 def test_sorted_plot_descending_order():
-    lexicon, _, _, selected = toy_parts()
-    root = ET.fromstring(emit_sorted_plot(lexicon, selected.count))
+    dist, _, selected = toy_parts()
+    root = ET.fromstring(emit_sorted_plot(dist, selected.count))
     ys = [
         float(el.get("cy"))
         for el in root.iter(f"{SVG_NS}circle")
@@ -172,50 +184,47 @@ def test_sorted_plot_descending_order():
 
 
 def test_sorted_plot_uniform_probabilities():
-    lexicon = make_lexicon([0.25] * 4)
-    selected = select_candidates(lexicon, 0.3)  # k = 2
-    svg = emit_sorted_plot(lexicon, selected.count)
+    lexicon, probability = make_lexicon([0.25] * 4)
+    selected = select_candidates(lexicon, probability, 0.3)  # k = 2
+    svg = emit_sorted_plot(density(lexicon, probability), selected.count)
     assert "cutoff (rank 2)" in svg
 
 
 def test_sorted_plot_single_word():
-    lexicon = make_lexicon([1.0])
-    selected = select_candidates(lexicon, 0.5)  # k = 1
-    svg = emit_sorted_plot(lexicon, selected.count)
+    lexicon, probability = make_lexicon([1.0])
+    selected = select_candidates(lexicon, probability, 0.5)  # k = 1
+    svg = emit_sorted_plot(density(lexicon, probability), selected.count)
     assert "cutoff (rank 0)" in svg
     counts = by_class(svg)
     assert counts.get("word", 0) + counts.get("stopword", 0) == 1
 
 
 def test_plots_are_deterministic():
-    lexicon, dist, summary, selected = toy_parts()
+    dist, summary, selected = toy_parts()
     indices = selected.first_indices
     assert emit_density_plot(dist, indices, summary) == emit_density_plot(dist, indices, summary)
-    assert emit_sorted_plot(lexicon, selected.count) == emit_sorted_plot(lexicon, selected.count)
+    assert emit_sorted_plot(dist, selected.count) == emit_sorted_plot(dist, selected.count)
 
 
 # ---------------------------------------------------------------------------
 # the emitters against the per-point plots they replaced (tests/plot_oracle.py)
 
 
-def _profile_lexicon(weights, profile_ids) -> Lexicon:
-    """Words over count profiles of the given weights, with probabilities as the pipeline fills them."""
-    return probabilities(
-        Lexicon(
-            surfaces=tuple(map(letter_code, range(len(profile_ids)))),
-            profile_ids=array("I", profile_ids),
-            doc_frequency=(1,) * len(weights),
-            total_count=tuple(range(1, len(weights) + 1)),
-            doc_count=2,
-            idf=(1.0,) * len(weights),
-            weight=tuple(weights),
-        )
+def _profile_lexicon(weights, profile_ids) -> tuple[Lexicon, tuple[float, ...]]:
+    """Words over count profiles of the given weights, and their probabilities as the pipeline makes them."""
+    lexicon = Lexicon(
+        surfaces=tuple(map(letter_code, range(len(profile_ids)))),
+        profile_ids=array("I", profile_ids),
+        doc_frequency=(1,) * len(weights),
+        total_count=tuple(range(1, len(weights) + 1)),
+        doc_count=2,
     )
+    return lexicon, probabilities(lexicon, tuple(weights))
 
 
 @st.composite
 def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scattered", "nearly all"])):
-    """A lexicon of ``sizes`` words over profiles of ``weights``, and candidates' first indices for it.
+    """A lexicon of ``sizes`` words over profiles of ``weights``, its probabilities and candidates' first indices.
 
     Words come in stretches that share a profile, so a pixel column holds
     repeated probabilities. Candidates are either selected, or hand-picked
@@ -231,14 +240,15 @@ def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scat
         ids += [rng.randrange(len(profile_weights))] * rng.randint(1, stretch)
     ids = ids[:n]
     assume(any(profile_weights[pid] > 0 for pid in ids))
-    lexicon = _profile_lexicon(profile_weights, ids)
+    lexicon, probability = _profile_lexicon(profile_weights, ids)
     how = draw(candidates)
     if how == "select":
-        indices = select_candidates(lexicon, draw(st.sampled_from(["0.05", "0.5", "0.999"]))).first_indices
+        fraction = draw(st.sampled_from(["0.05", "0.5", "0.999"]))
+        indices = select_candidates(lexicon, probability, fraction).first_indices
     else:
         k = rng.randint(0, n) if how == "scattered" else max(n - rng.randint(0, 3), 0)
         indices = rng.sample(range(1, n + 1), k)
-    return lexicon, indices
+    return lexicon, probability, indices
 
 
 # small weights, so distinct profiles often share a probability; -0.0 and
@@ -248,20 +258,20 @@ EQUAL_WEIGHTS = st.builds(lambda count, weight: [weight] * count, st.integers(1,
 SIZES = st.integers(1, 20_000)
 
 
-def assert_plots_match_oracle(lexicon, indices):
-    dist = density(lexicon)
+def assert_plots_match_oracle(lexicon, probability, indices):
+    dist = density(lexicon, probability)
     summary = MomentSummary((dist.size + 1) / 2, 0.0, dist.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
     # the per-index tuple density built before it grouped indices by profile
-    probs = tuple(map(lexicon.probability.__getitem__, lexicon.profile_ids))
+    probs = per_word(lexicon, probability)
     assert emit_density_plot(dist, indices, summary) == plot_oracle.emit_density_plot(probs, indices, summary)
     k = len(indices)
-    assert emit_sorted_plot(lexicon, k) == plot_oracle.emit_sorted_plot(lexicon, k)
+    assert emit_sorted_plot(dist, k) == plot_oracle.emit_sorted_plot(probability, lexicon.profile_ids, k)
 
 
 def test_one_word_plots_match_oracle():
-    lexicon = _profile_lexicon([1.0], [0])
-    for indices in (select_candidates(lexicon, 0.05).first_indices, []):
-        assert_plots_match_oracle(lexicon, indices)
+    lexicon, probability = _profile_lexicon([1.0], [0])
+    for indices in (select_candidates(lexicon, probability, 0.05).first_indices, []):
+        assert_plots_match_oracle(lexicon, probability, indices)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,14 @@ from stoplex import (
     tokenize,
 )
 
-from conftest import candidate_entries, distribution, index_probabilities, make_lexicon
+from conftest import (
+    candidate_rows,
+    distribution,
+    index_probabilities,
+    make_lexicon,
+    weighted_lexicon,
+    word_rows,
+)
 
 # --- strategies --------------------------------------------------------------
 
@@ -56,17 +63,17 @@ def normalized(values):
 
 @given(positive_weights)
 def test_probabilities_sum_to_one(weights):
-    lexicon = probabilities(make_lexicon(weights))
-    assert abs(math.fsum(e.probability for e in lexicon.entries) - 1.0) <= 1e-12
-    assert all(e.probability >= 0 for e in lexicon.entries)
+    _, probability = weighted_lexicon(weights)
+    assert abs(math.fsum(probability) - 1.0) <= 1e-12
+    assert all(p >= 0 for p in probability)
 
 
 @given(positive_weights, st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
 def test_scaling_weights_preserves_probabilities(weights, scale):
-    base = probabilities(make_lexicon(weights))
-    scaled = probabilities(make_lexicon([w * scale for w in weights]))
-    for a, b in zip(base.entries, scaled.entries):
-        assert a.probability == pytest.approx(b.probability, abs=1e-12)
+    _, base = weighted_lexicon(weights)
+    _, scaled = weighted_lexicon([w * scale for w in weights])
+    for a, b in zip(base, scaled):
+        assert a == pytest.approx(b, abs=1e-12)
 
 
 # integer-valued weights keep distinct values well separated, so the
@@ -77,8 +84,8 @@ integer_weights = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1
 
 @given(integer_weights, st.sampled_from([0.5, 0.25, 3.7, 1e4, 12345.678]))
 def test_scaling_weights_preserves_candidates(weights, scale):
-    base = select_candidates(probabilities(make_lexicon([float(w) for w in weights])), 0.25)
-    scaled = select_candidates(probabilities(make_lexicon([w * scale for w in weights])), 0.25)
+    base = select_candidates(*weighted_lexicon([float(w) for w in weights]), 0.25)
+    scaled = select_candidates(*weighted_lexicon([w * scale for w in weights]), 0.25)
     assert base.words == scaled.words
 
 
@@ -104,20 +111,21 @@ def test_corpus_duplication_invariance(sources):
         (f"{name}b", text) for name, text in sources
     ]
     doubled = build_lexicon(load_corpus(doubled_sources))
+    base_w, doubled_w = apply_weights(base), apply_weights(doubled)
     try:
-        base_p = probabilities(apply_weights(base))
+        base_p = probabilities(base, base_w)
     except AllZeroWeights:
         with pytest.raises(AllZeroWeights):
-            probabilities(apply_weights(doubled))
+            probabilities(doubled, doubled_w)
         return
-    doubled_p = probabilities(apply_weights(doubled))
-    for a, b in zip(base_p.entries, doubled_p.entries):
+    doubled_p = probabilities(doubled, doubled_w)
+    for a, b in zip(word_rows(base, base_w, base_p), word_rows(doubled, doubled_w, doubled_p)):
         assert a.surface == b.surface
         assert a.idf == b.idf  # ln(2n/2m) == ln(n/m) exactly
         assert a.weight == b.weight
         assert a.probability == b.probability
-    base_sel = select_candidates(base_p, 0.25)
-    doubled_sel = select_candidates(doubled_p, 0.25)
+    base_sel = select_candidates(base, base_p, 0.25)
+    doubled_sel = select_candidates(doubled, doubled_p, 0.25)
     assert base_sel.words == doubled_sel.words
 
 
@@ -198,15 +206,16 @@ def test_candidate_count_is_exact_ceiling(size, fraction):
 
 @given(positive_weights, st.sampled_from(["0.05", "0.1", "0.25", "0.5"]))
 def test_selection_size_and_order(weights, fraction):
-    lexicon = probabilities(make_lexicon(weights))
-    selected = select_candidates(lexicon, fraction)
+    lexicon, weight = make_lexicon(weights)
+    probability = probabilities(lexicon, weight)
+    selected = select_candidates(lexicon, probability, fraction)
     assert selected.count == candidate_count(lexicon.size, fraction)
-    probs = [e.probability for e in candidate_entries(lexicon, selected)]
+    probs = [e.probability for e in candidate_rows(lexicon, weight, probability, selected)]
     assert probs == sorted(probs)
     assert selected.threshold == probs[-1]
     # no non-candidate has a smaller probability than any candidate
     chosen = set(selected.words)
-    rest = [e.probability for e in lexicon.entries if e.surface not in chosen]
+    rest = [e.probability for e in word_rows(lexicon, weight, probability) if e.surface not in chosen]
     if rest:
         assert min(rest) >= selected.threshold or math.isclose(min(rest), selected.threshold)
 

@@ -207,6 +207,12 @@ def test_candidates_xbar_of_no_candidates_is_a_domain_error():
     assert sample_mean_for("candidates", 5, [2, 1]) == 1.5
 
 
+@pytest.mark.parametrize("mode", ["Midpoint", "bogus", ""])
+def test_sample_mean_rejects_an_unknown_mode(mode):
+    with pytest.raises(DomainError, match="xbar_mode"):
+        sample_mean_for(mode, 10, [1, 2])
+
+
 def test_averaging_mode_changes_weights(tmp_path):
     all_docs = run_pipeline(toy_config(tmp_path / "a"))
     containing = run_pipeline(toy_config(tmp_path / "b", averaging="containing"))
@@ -277,6 +283,14 @@ def test_cli_bad_option_value_exit_2_before_any_output(tmp_path, option):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_cli_unreadable_fraction_exit_2_with_its_message(tmp_path, capsys, value):
+    code = main(["analyze", str(TOY_DIR), "--fraction", value, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"stoplex: Invalid literal for Fraction: {value!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_out_under_a_file_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
     def load_corpus_from_paths(paths):
         raise AssertionError("the corpus was loaded")
@@ -340,8 +354,8 @@ def _fail_words_csv_after_its_first_batch(monkeypatch, out_dir, open_temps: list
     """
     chunks = stoplex.report._words_csv_chunks
 
-    def failing_chunks(lexicon):
-        yield from islice(chunks(lexicon), 2)
+    def failing_chunks(*args):
+        yield from islice(chunks(*args), 2)
         open_temps.extend(out_dir.glob(".words.csv.*.tmp"))
         raise StoplexError("cannot render")
 

@@ -19,7 +19,7 @@ from stoplex import (
     words_csv,
 )
 
-from conftest import letter_code, six_profile_corpus
+from conftest import letter_code, per_word, profile_idf, six_profile_corpus
 
 VOCAB = ["olma", "nok", "uzum", "anor", "bir", "ikki", "soʻz", "gʻisht", "kitob", "til"]
 SHARED = "va"
@@ -43,10 +43,6 @@ def _word_rows(table):
     ]
 
 
-def _per_word(table, column):
-    return [getattr(table, column)[pid] for pid in table.profile_ids]
-
-
 @settings(max_examples=300, deadline=None)
 @given(sources)
 @example([("d1", "olma nok olma"), ("d2", ""), ("d3", "nok uzum uzum uzum")])
@@ -65,20 +61,20 @@ def test_sparse_lexicon_matches_dense_oracle(texts):
     assert _word_rows(table) == [(e.surface, e.first_index, e.doc_frequency, e.total_count) for e in dense.entries]
 
     for mode in AveragingMode:
-        weighted = apply_weights(table, mode)
+        weight = apply_weights(table, mode)
         dense_weighted = dense_oracle.apply_weights(dense, mode)
-        assert _per_word(weighted, "idf") == [e.idf for e in dense_weighted.entries]
-        assert _per_word(weighted, "weight") == [e.weight for e in dense_weighted.entries]
+        assert list(per_word(table, profile_idf(table))) == [e.idf for e in dense_weighted.entries]
+        assert list(per_word(table, weight)) == [e.weight for e in dense_weighted.entries]
 
         try:
             dense_p = dense_oracle.probabilities(dense_weighted)
         except AllZeroWeights:
             with pytest.raises(AllZeroWeights):
-                probabilities(weighted)
+                probabilities(table, weight)
             continue
-        table_p = probabilities(weighted)
-        assert _per_word(table_p, "probability") == [e.probability for e in dense_p.entries]
-        assert words_csv(table_p) == csv_oracle.words_csv(dense_p)
+        probability = probabilities(table, weight)
+        assert list(per_word(table, probability)) == [e.probability for e in dense_p.entries]
+        assert words_csv(table, weight, probability) == csv_oracle.words_csv(dense_p.entries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,7 +93,8 @@ def test_lexicon_memory_grows_with_postings_not_words_times_documents():
     ]
     tracemalloc.start()
     try:
-        lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts))))
+        lexicon = build_lexicon(load_corpus(texts))
+        probabilities(lexicon, apply_weights(lexicon))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -130,7 +127,8 @@ def test_lexicon_stages_hold_far_less_than_one_record_per_word():
     corpus = six_profile_corpus(n_words)
     tracemalloc.start()
     try:
-        lexicon = probabilities(apply_weights(build_lexicon(corpus)))
+        lexicon = build_lexicon(corpus)
+        probabilities(lexicon, apply_weights(lexicon))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,6 +21,8 @@ from stoplex import (
 )
 from stoplex.moments import _dyadic
 
+from conftest import per_word, word_rows
+
 LN_3_OVER_2 = math.log(3 / 2)
 
 
@@ -40,18 +42,20 @@ def test_idf_domain_errors():
 
 
 def test_toy_weights(toy_lexicon):
-    weighted = apply_weights(toy_lexicon)
-    by_surface = {e.surface: e for e in weighted.entries}
+    weight = apply_weights(toy_lexicon)
+    rows = word_rows(toy_lexicon, weight, probabilities(toy_lexicon, weight))
+    by_surface = {e.surface: e for e in rows}
     assert by_surface["olma"].weight == pytest.approx(0.4054651, abs=5e-8)
     assert by_surface["nok"].weight == pytest.approx(0.2703101, abs=5e-8)
     assert by_surface["uzum"].weight == pytest.approx(0.4054651, abs=5e-8)
-    assert all(e.idf == pytest.approx(LN_3_OVER_2) for e in weighted.entries)
+    assert all(e.idf == pytest.approx(LN_3_OVER_2) for e in rows)
 
 
 def test_weight_zero_iff_in_every_document():
     corpus = load_corpus([("d1", "a b"), ("d2", "a"), ("d3", "a b b")])
-    weighted = apply_weights(build_lexicon(corpus))
-    by_surface = {e.surface: e for e in weighted.entries}
+    lexicon = build_lexicon(corpus)
+    weight = apply_weights(lexicon)
+    by_surface = {e.surface: e for e in word_rows(lexicon, weight, probabilities(lexicon, weight))}
     assert by_surface["a"].idf == 0.0
     assert by_surface["a"].weight == 0.0
     assert by_surface["b"].weight > 0.0
@@ -66,10 +70,10 @@ def test_apply_weights_rejects_doc_frequency_above_doc_count(toy_lexicon):
 
 def test_containing_docs_mode(toy_lexicon):
     # same totals, but divided by m=2 instead of n=3
-    weighted = apply_weights(toy_lexicon, AveragingMode.CONTAINING_DOCS)
-    by_surface = {e.surface: e for e in weighted.entries}
-    assert by_surface["olma"].weight == pytest.approx(3 * LN_3_OVER_2 / 2)
-    assert by_surface["nok"].weight == pytest.approx(2 * LN_3_OVER_2 / 2)
+    weight = apply_weights(toy_lexicon, AveragingMode.CONTAINING_DOCS)
+    by_surface = dict(zip(toy_lexicon.surfaces, per_word(toy_lexicon, weight)))
+    assert by_surface["olma"] == pytest.approx(3 * LN_3_OVER_2 / 2)
+    assert by_surface["nok"] == pytest.approx(2 * LN_3_OVER_2 / 2)
 
 
 def test_mode_accepts_strings(toy_lexicon):
@@ -77,40 +81,43 @@ def test_mode_accepts_strings(toy_lexicon):
 
 
 def test_toy_probabilities(toy_lexicon):
-    lexicon = probabilities(apply_weights(toy_lexicon))
-    assert [e.probability for e in lexicon.entries] == pytest.approx([0.375, 0.25, 0.375], abs=1e-15)
-    assert math.fsum(e.probability for e in lexicon.entries) == pytest.approx(1.0, abs=1e-12)
-    assert [e.first_index for e in lexicon.entries] == [1, 2, 3]
+    probability = per_word(toy_lexicon, probabilities(toy_lexicon, apply_weights(toy_lexicon)))
+    assert list(probability) == pytest.approx([0.375, 0.25, 0.375], abs=1e-15)
+    assert math.fsum(probability) == pytest.approx(1.0, abs=1e-12)
+    assert [e.first_index for e in toy_lexicon.entries] == [1, 2, 3]
 
 
 def test_single_word_probability():
-    lexicon = probabilities(apply_weights(build_lexicon(load_corpus([("d1", "olma"), ("d2", "")]))))
-    assert [e.probability for e in lexicon.entries] == [1.0]
+    lexicon = build_lexicon(load_corpus([("d1", "olma"), ("d2", "")]))
+    assert list(per_word(lexicon, probabilities(lexicon, apply_weights(lexicon)))) == [1.0]
 
 
 def test_equal_weights_split_evenly():
     corpus = load_corpus([("d1", "olma"), ("d2", "nok")])
-    lexicon = probabilities(apply_weights(build_lexicon(corpus)))
-    assert [e.probability for e in lexicon.entries] == pytest.approx([0.5, 0.5])
+    lexicon = build_lexicon(corpus)
+    assert list(per_word(lexicon, probabilities(lexicon, apply_weights(lexicon)))) == pytest.approx([0.5, 0.5])
 
 
 def test_all_zero_weights():
     corpus = load_corpus([("d1", "a b"), ("d2", "b a a")])
+    lexicon = build_lexicon(corpus)
     with pytest.raises(AllZeroWeights):
-        probabilities(apply_weights(build_lexicon(corpus)))
+        probabilities(lexicon, apply_weights(lexicon))
 
 
 def test_probabilities_require_weights(toy_lexicon):
-    with pytest.raises(DomainError):
-        probabilities(toy_lexicon)
+    weight = apply_weights(toy_lexicon)
+    for wrong in ((), weight[:1], weight + (1.0,)):
+        with pytest.raises(DomainError, match="weight"):
+            probabilities(toy_lexicon, wrong)
 
 
 def test_weight_monotone_in_total_count():
     # fixed idf (same m, n), increasing totals
     corpus = load_corpus([("d1", "a a a b c c"), ("d2", "x")])
-    weighted = apply_weights(build_lexicon(corpus))
-    by_surface = {e.surface: e for e in weighted.entries}
-    assert by_surface["b"].weight < by_surface["c"].weight < by_surface["a"].weight
+    lexicon = build_lexicon(corpus)
+    by_surface = dict(zip(lexicon.surfaces, per_word(lexicon, apply_weights(lexicon))))
+    assert by_surface["b"] < by_surface["c"] < by_surface["a"]
 
 
 @pytest.mark.parametrize("mode", list(AveragingMode))
@@ -122,18 +129,13 @@ def test_entries_share_floats_per_count_profile(mode):
         (f"d{doc}", " ".join([word + doc for word in hapax] + extra))
         for doc, extra in zip("abcd", extras)
     ]
-    lexicon = probabilities(apply_weights(build_lexicon(load_corpus(texts)), mode))
-    profiles = {(e.doc_frequency, e.total_count) for e in lexicon.entries}
+    lexicon = build_lexicon(load_corpus(texts))
+    weight = apply_weights(lexicon, mode)
+    rows = word_rows(lexicon, weight, probabilities(lexicon, weight))
+    profiles = {(e.doc_frequency, e.total_count) for e in rows}
     assert len(profiles) == len(lexicon.total_count) == 4 < lexicon.size == 51
-    assert len({id(e.weight) for e in lexicon.entries}) == len(profiles)
-    assert len({id(e.probability) for e in lexicon.entries}) == len(profiles)
-
-
-def test_weighting_stages_carry_the_member_lists_over(toy_lexicon):
-    assert toy_lexicon.members == (array("I", [1, 3]), array("I", [2]))  # olma and uzum share (2, 3)
-    weighted = apply_weights(toy_lexicon)
-    assert weighted.members is toy_lexicon.members
-    assert probabilities(weighted).members is toy_lexicon.members
+    assert len({id(e.weight) for e in rows}) == len(profiles)
+    assert len({id(e.probability) for e in rows}) == len(profiles)
 
 
 # --- the normalizing total: exact per profile, equal to fsum over every word ---
@@ -164,11 +166,9 @@ def test_probability_total_is_fsum_over_every_word(weights, seed):
         doc_frequency=(1,) * len(weights),
         total_count=tuple(range(1, len(weights) + 1)),
         doc_count=2,
-        idf=(1.0,) * len(weights),
-        weight=tuple(weights),
     )
     # the total as probabilities computes it, bit for bit
     scaled, scale = _dyadic(weights)
     exact = sum(map(mul, scaled, map(len, lexicon.members))) / scale
     assert exact.hex() == total.hex()
-    assert probabilities(lexicon).probability == tuple(w / total for w in weights)
+    assert probabilities(lexicon, tuple(weights)) == tuple(w / total for w in weights)
