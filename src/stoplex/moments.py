@@ -1,17 +1,16 @@
 """Moment statistics of the first-appearance index distribution.
 
 The first-appearance index i of each unique word is treated as a discrete
-random variable with P(i) = p_i. A distribution holds its indices in groups
-that share one probability; density groups them by a lexicon's count
-profiles (the words with one doc frequency and one total count). Its sums
-are exact: each group's probability is m / 2**s with one power of two 2**s
-for all groups (float.as_integer_ratio), so E_k = sum of p_i * i**k is the
-integer sum over groups of m times the group's exact sum of i**k, finished
-by one correctly rounded int/int division. Dispersion is the direct central
-sum of p_i * (i - E1)**2 about the float E1, done the same way with E1 read
-as a ratio a/b, so it is also correctly rounded and never negative. The
-third central moment uses the raw-moment identity E3 - 3*E1*E2 + 2*E1**3.
-None of it depends on the order of the groups.
+random variable with P(i) = p_i, one probability per count profile of a
+lexicon (the words with one doc frequency and one total count). Its sums
+are exact: each profile's probability is m / 2**s with one power of two
+2**s for all profiles (float.as_integer_ratio), so E_k = sum of p_i * i**k
+is the integer sum over profiles of m times the profile's exact sum of
+i**k, finished by one correctly rounded int/int division. Dispersion is the
+direct central sum of p_i * (i - E1)**2 about the float E1, done the same
+way with E1 read as a ratio a/b, so it is also correctly rounded and never
+negative. The third central moment uses the raw-moment identity
+E3 - 3*E1*E2 + 2*E1**3. None of it depends on the order of the profiles.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .corpus import Lexicon
+from .corpus import Lexicon, _check_profile_column
 from .errors import DegenerateDistribution, DomainError
 
 #: |asymmetry| at or below this counts as zero for verdict purposes.
@@ -42,36 +41,29 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
 
 @dataclass(frozen=True)
 class IndexDistribution:
-    """Probabilities for indices 1..N, held per group of indices that share one.
+    """Probabilities for a lexicon's first indices 1..N, one per count profile.
 
-    Group g has probability ``values[g]`` and the ascending 1-based indices
-    ``members[g]``; index i is in group ``group_of[i - 1]``. Groups may
-    share a value. density makes one from a lexicon's count profiles.
-    Raises DomainError unless there is at least one index, each group has
-    one value, the groups hold as many indices as ``group_of``, every value
-    is finite and >= 0, and the exact total is within 1e-12 of 1.
+    Index i has probability ``values[lexicon.profile_ids[i - 1]]``; profile
+    p's indices are ``lexicon.members[p]``. Profiles may share a value.
+    Raises DomainError unless the lexicon has at least one word, there is
+    one value per profile, every value is finite and >= 0, and the exact
+    total is within 1e-12 of 1.
     """
 
+    lexicon: Lexicon
     values: tuple[float, ...]
-    group_of: array  # array("I"): one group per index
-    members: tuple[array, ...]
 
     def __post_init__(self):
-        if not self.group_of:
-            raise DomainError("a distribution needs at least one point")
-        if len(self.values) != len(self.members) or sum(map(len, self.members)) != len(self.group_of):
-            raise DomainError("a distribution needs one value per group and a group for every index")
+        if not self.lexicon.surfaces:
+            raise DomainError("a distribution needs at least one word")
+        _check_profile_column(self.lexicon, self.values, "probability")
         for p in self.values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
         scaled, scale = _dyadic(self.values)
-        total = sum(map(mul, scaled, map(len, self.members))) / scale
+        total = sum(map(mul, scaled, map(len, self.lexicon.members))) / scale
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
-
-    @property
-    def size(self) -> int:
-        return len(self.group_of)
 
 
 @dataclass(frozen=True)
@@ -94,22 +86,22 @@ class MomentSummary:
 
 
 def density(lexicon: Lexicon, probability: Sequence[float]) -> IndexDistribution:
-    """Index distribution of a lexicon's words, grouped by count profile, from the profiles' probabilities.
+    """Index distribution of a lexicon's words from its count profiles' probabilities.
 
-    It shares the lexicon's profile ids and member lists, so it takes one
-    step per profile, not per word.
+    It holds the lexicon and the column, so it takes one step per profile,
+    not per word.
     """
-    return IndexDistribution(probability, lexicon.profile_ids, lexicon.members)
+    return IndexDistribution(lexicon, probability)
 
 
 # indices per step of _power_sums: it holds two lists of Python ints (about
-# 40 bytes per index) for one step, where a whole group's, such as the 71 504
+# 40 bytes per index) for one step, where a whole profile's, such as the 71 504
 # words of one profile of the benchmark's uz-wide, would raise a run's peak memory
 _POWER_SUM_STEP = 4096
 
 
 def _power_sums(members: Sequence[array]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per group: its index count and the exact sums of i, i**2 and i**3 over its indices."""
+    """Per profile: its index count and the exact sums of i, i**2 and i**3 over its indices."""
     counts: list[int] = []
     sums: tuple[list[int], list[int], list[int]] = ([], [], [])
     for indices in members:
@@ -136,9 +128,9 @@ def moment_summary(dist: IndexDistribution) -> MomentSummary:
     verdicts need a real number.
     """
     scaled, scale = _dyadic(dist.values)
-    counts, s1, s2, s3 = _power_sums(dist.members)
+    counts, s1, s2, s3 = _power_sums(dist.lexicon.members)
     e1, e2, e3 = (sum(map(mul, scaled, s)) / scale for s in (s1, s2, s3))
-    # a group's sum of (i - a/b)**2 is its sum of (b*i - a)**2 over b**2
+    # a profile's sum of (i - a/b)**2 is its sum of (b*i - a)**2 over b**2
     a, b = e1.as_integer_ratio()
     central = (b * b * s2_g - 2 * a * b * s1_g + a * a * n_g for n_g, s1_g, s2_g in zip(counts, s1, s2))
     dispersion = sum(map(mul, scaled, central)) / (scale * b * b)

@@ -161,20 +161,20 @@ def _first_of_each_value(
     Indices are 1-based and ascend; the indices in ``skip`` (ascending) are
     left out. These are all the points _circles could draw of the indices
     1..N, since a later point of a column with an earlier one's probability
-    falls on its pixel. A column is walked by its indices' groups; groups
+    falls on its pixel. A column is walked by its indices' profiles; profiles
     that share a probability yield it once, at the first of their indices.
     """
-    values = dist.values
-    for first, end in _columns(frame, 1, dist.size + 1):
-        column = dist.group_of[first - 1:end - 1].tolist()
+    values, profile_ids = dist.values, dist.lexicon.profile_ids
+    for first, end in _columns(frame, 1, dist.lexicon.size + 1):
+        column = profile_ids[first - 1:end - 1].tolist()
         for i in skip[bisect_left(skip, first):bisect_left(skip, end)]:
             column[i - first] = None
         seen = set()
         at = 0
-        for group in dict.fromkeys(column):
-            if group is not None and (value := values[group]) not in seen:
+        for profile in dict.fromkeys(column):
+            if profile is not None and (value := values[profile]) not in seen:
                 seen.add(value)
-                at = column.index(group, at)
+                at = column.index(profile, at)
                 yield first + at, value
 
 
@@ -186,13 +186,13 @@ def emit_density_plot(dist: IndexDistribution, first_indices: Sequence[int], sum
     The word points are walked per pixel column and distinct probability,
     not per index; the candidates one by one.
     """
-    values, group_of = dist.values, dist.group_of
-    frame = _frame(dist.size, max(p for p, indices in zip(values, dist.members) if indices))
+    values, lexicon = dist.values, dist.lexicon
+    frame = _frame(lexicon.size, max(p for p, indices in zip(values, lexicon.members) if indices))
     mean, sigma = summary.expectation, summary.std_dev
     return _scatter(
         "probability of unique words by first-appearance index", "first-appearance index", frame,
         _first_of_each_value(frame, dist, sorted(first_indices)),
-        ((i, values[group_of[i - 1]]) for i in first_indices), 3,
+        ((i, values[lexicon.profile_ids[i - 1]]) for i in first_indices), 3,
         (("ref", mean - sigma, "E-σ"), ("ref", mean, "E"), ("ref", mean + sigma, "E+σ")),
     )
 
@@ -202,15 +202,16 @@ def emit_sorted_plot(dist: IndexDistribution, k: int) -> str:
 
     The cutoff line sits after rank N - k, separating the kept words from
     the k candidates at the low end of the curve. The curve is drawn from
-    the groups: each group's indices hold a run of ranks at one
+    the count profiles: each profile's indices hold a run of ranks at one
     probability, and each run is drawn at its first rank in each pixel column.
     """
     runs = sorted(
-        ((value, len(indices)) for value, indices in zip(dist.values, dist.members) if indices), reverse=True
+        ((value, len(indices)) for value, indices in zip(dist.values, dist.lexicon.members) if indices),
+        reverse=True,
     )
     values, counts = zip(*runs) if runs else ((), ())
     starts = list(accumulate(counts, initial=1))  # each run's first rank
-    n = dist.size
+    n = dist.lexicon.size
     frame = _frame(n, max(dist.values, default=0.0))
 
     def ranked(lo: int, hi: int) -> Iterator[tuple[int, float]]:

@@ -43,9 +43,10 @@ XBAR_MODES = ("midpoint", "candidates")
 class RunConfig:
     """Everything one analysis run depends on; the CLI's options and defaults are these fields.
 
-    A bad value raises ValueError. ``fraction`` is kept as the exact Fraction
-    of the decimal given (0.05 and "0.05" give 1/20), and ``z_critical`` as a
-    float (2 and Fraction(2) give 2.0).
+    A bad value raises ValueError. Paths (str, bytes or os.PathLike) are
+    kept as os.fsdecode's text, ``fraction`` as the exact Fraction of the
+    decimal given (0.05 and "0.05" give 1/20), and ``z_critical`` as a float
+    (2 and Fraction(2) give 2.0).
     """
 
     inputs: tuple[str, ...]
@@ -58,9 +59,14 @@ class RunConfig:
     order: str = "list"
 
     def __post_init__(self):
-        if isinstance(self.inputs, (str, bytes)):
+        if isinstance(self.inputs, (str, bytes, os.PathLike)):
             raise ValueError(f"inputs must be a sequence of paths, not one path: {self.inputs!r}")
-        object.__setattr__(self, "inputs", tuple(str(p) for p in self.inputs))
+        inputs = tuple(self.inputs)
+        for path in (*inputs, self.output_dir):
+            if not isinstance(path, (str, bytes, os.PathLike)):
+                raise ValueError(f"a path must be str, bytes or os.PathLike, got {path!r}")
+        object.__setattr__(self, "inputs", tuple(map(os.fsdecode, inputs)))
+        object.__setattr__(self, "output_dir", os.fsdecode(self.output_dir))
         object.__setattr__(self, "averaging", AveragingMode(self.averaging))
         try:
             frac = _as_fraction(self.fraction)

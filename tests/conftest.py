@@ -11,6 +11,7 @@ from stoplex import (
     Lexicon,
     apply_weights,
     build_lexicon,
+    density,
     inverse_document_frequency,
     load_corpus,
     probabilities,
@@ -70,15 +71,13 @@ def six_profile_corpus(n_words: int):
 
 
 def distribution(probabilities) -> IndexDistribution:
-    """The distribution of per-index probabilities: index i + 1 alone in group i, at probabilities[i]."""
-    values = tuple(probabilities)
-    n = len(values)
-    return IndexDistribution(values, array("I", range(n)), tuple(array("I", [i]) for i in range(1, n + 1)))
+    """``probabilities`` as a distribution over make_lexicon's words: index i + 1 at probabilities[i]."""
+    return density(*make_lexicon(tuple(probabilities)))
 
 
 def index_probabilities(dist) -> tuple[float, ...]:
     """Each index's probability in ``dist``, in index order."""
-    return tuple(map(dist.values.__getitem__, dist.group_of))
+    return tuple(map(dist.values.__getitem__, dist.lexicon.profile_ids))
 
 
 def probability_of(lexicon: Lexicon) -> tuple[float, ...]:

@@ -34,7 +34,7 @@ def toy_distribution():
 def test_density_copies_probabilities(toy_lexicon):
     dist = density(toy_lexicon, probability_of(toy_lexicon))
     assert tuple(enumerate(index_probabilities(dist), start=1)) == ((1, 0.375), (2, 0.25), (3, 0.375))
-    assert dist.size == toy_lexicon.size
+    assert dist.lexicon is toy_lexicon
 
 
 def test_density_requires_probabilities(toy_lexicon):
@@ -62,18 +62,16 @@ def test_distribution_validation():
 
 
 @pytest.mark.parametrize(
-    "values, group_of, members",
+    "values",
     [
-        ((0.5,), [0, 1, 0], ([1, 3], [2])),  # index 2's group has no value
-        ((1.0, 7.0), [0], ([1],)),  # a value with no group
-        ((1.0,), [0, 0], ([1],)),  # index 2 in no group's members
-        ((0.5, 0.0), [0, 1], ([1, 2], [1])),  # three members for two indices
+        (),  # the toy lexicon's two count profiles have no value
+        TOY_P,  # three values for two count profiles
     ],
-    ids=["group-without-value", "value-without-group", "index-in-no-group", "surplus-member"],
+    ids=["group-without-value", "value-without-group"],
 )
-def test_distribution_rejects_mismatched_groups(values, group_of, members):
+def test_distribution_rejects_mismatched_groups(toy_lexicon, values):
     with pytest.raises(DomainError):
-        IndexDistribution(values, array("I", group_of), tuple(array("I", m) for m in members))
+        IndexDistribution(toy_lexicon, values)
 
 
 def test_raw_moments_toy():
@@ -238,28 +236,6 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
 
 @settings(max_examples=300, deadline=None)
 @given(grouped_weights())
-@example(([1.0, 3.0], [0, 1, 0, 1, 0]))
-@example(([1e-8, 1e8], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # mass at both ends
-@example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
-def test_distribution_moments_are_the_exact_sums_rounded_once(case):
-    weights, groups = case
-    total = math.fsum(weights[g] for g in groups)
-    probs = [weights[g] / total for g in groups]
-    grouped = IndexDistribution(
-        tuple(w / total for w in weights),
-        array("I", groups),
-        tuple(array("I", [i for i, g in enumerate(groups, start=1) if g == group]) for group in range(len(weights))),
-    )
-    expected = exact_moments(probs)
-    for dist in (grouped, distribution(probs)):
-        assert computed_moments(dist) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
-            assert computed_moments(dist) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(grouped_weights())
 @example(([1.0, 2.0], [0, 0, 1, 1]))
 @example(([2.0, 2.0, 5.0], [0, 1, 2, 1, 0]))  # two profiles with one probability
 @example(([1.0, 3.0], [0, 1, 0, 1, 0]))
@@ -275,12 +251,13 @@ def test_density_moments_are_the_exact_sums_rounded_once(case):
         doc_count=2,
     )
     probability = probabilities(lexicon, tuple(weights))
-    dist = density(lexicon, probability)
-    expected = exact_moments(per_word(lexicon, probability))
-    assert computed_moments(dist) == expected
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each group's sums take several steps
+    probs = per_word(lexicon, probability)
+    expected = exact_moments(probs)
+    for dist in (density(lexicon, probability), distribution(probs)):
         assert computed_moments(dist) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each profile's sums take several steps
+            assert computed_moments(dist) == expected
 
 
 def test_density_retains_under_one_byte_per_word():
@@ -293,7 +270,7 @@ def test_density_retains_under_one_byte_per_word():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dist.size == n_words
-    # it shares the lexicon's profile ids and member lists; a per-index tuple
-    # of probabilities alone would keep 8 bytes per word
+    assert dist.lexicon.size == n_words
+    # it holds the lexicon and the per-profile probabilities; a per-index
+    # tuple of probabilities alone would keep 8 bytes per word
     assert retained / n_words < 1

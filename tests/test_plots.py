@@ -260,7 +260,7 @@ SIZES = st.integers(1, 20_000)
 
 def assert_plots_match_oracle(lexicon, probability, indices):
     dist = density(lexicon, probability)
-    summary = MomentSummary((dist.size + 1) / 2, 0.0, dist.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
+    summary = MomentSummary((lexicon.size + 1) / 2, 0.0, lexicon.size / 4, 0.0, 0.0, 0.0, 0.0, 0.0)
     # the per-index tuple density built before it grouped indices by profile
     probs = per_word(lexicon, probability)
     assert emit_density_plot(dist, indices, summary) == plot_oracle.emit_density_plot(probs, indices, summary)

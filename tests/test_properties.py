@@ -188,7 +188,7 @@ def test_raw_moments_match_numpy_oracle(values, k):
     import numpy as np
 
     dist = normalized(values)
-    expected = float(np.sum(np.asarray(index_probabilities(dist)) * np.arange(1, dist.size + 1) ** k))
+    expected = float(np.sum(np.asarray(index_probabilities(dist)) * np.arange(1, dist.lexicon.size + 1) ** k))
     assert getattr(moment_summary(dist), f"raw_moment_{k}") == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 

@@ -1,10 +1,12 @@
 import dataclasses
 import gc
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -153,9 +155,19 @@ def test_config_validation(tmp_path):
         toy_config(tmp_path, order="random")
     with pytest.raises(ValueError):
         toy_config(tmp_path, fraction=None)
-    for inputs in (str(TOY_DIR), str(TOY_DIR).encode()):  # one path, not a sequence of them
+    for inputs in (str(TOY_DIR), str(TOY_DIR).encode(), TOY_DIR):  # one path, not a sequence of them
         with pytest.raises(ValueError):
             toy_config(tmp_path, inputs=inputs)
+    for inputs in ([5], [str(TOY_DIR), None]):  # an item that is no path
+        with pytest.raises(ValueError):
+            toy_config(tmp_path, inputs=inputs)
+    for output_dir in (5, None):
+        with pytest.raises(ValueError):
+            toy_config(tmp_path, output_dir=output_dir)
+    # str, bytes and os.PathLike paths are kept as text
+    for inputs in ([str(TOY_DIR)], [TOY_DIR], [os.fsencode(TOY_DIR)]):
+        assert toy_config(tmp_path, inputs=inputs).inputs == (str(TOY_DIR),)
+    assert toy_config(os.fsencode(tmp_path)).output_dir == str(tmp_path)
     # the last two are > 0 and finite, but as floats they overflow or round to 0.0
     for z_critical in ("1.96", True, None, complex(1.96), 10**400, Fraction(1, 10**400)):
         with pytest.raises(ValueError):
@@ -464,6 +476,36 @@ def test_cli_module_entrypoint(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("stoplex ")
+
+
+# runs the CLI's main on its arguments, then writes the modules imported after
+# start-up to the file named first; those site imported (from .pth files) are
+# already there before
+_NEW_MODULES_AFTER_MAIN = """
+import sys
+before = set(sys.modules)
+from stoplex.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    out.write("\\n".join(sorted(set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def test_cli_analyze_imports_only_the_standard_library(tmp_path):
+    listing = tmp_path / "modules.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES_AFTER_MAIN, str(listing),
+         "analyze", str(TOY_DIR), "--plots", "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    imported = listing.read_text(encoding="utf-8").split()
+    assert "stoplex.plots" in imported
+    foreign = [name for name in imported if name.partition(".")[0] not in {"stoplex", *sys.stdlib_module_names}]
+    assert foreign == []
 
 
 def test_cli_order_flag(tmp_path, capsys):
