@@ -234,6 +234,35 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
     return weights, groups
 
 
+def grouped_lexicon(n_groups: int, groups) -> Lexicon:
+    """A lexicon whose word k + 1 has count profile groups[k], one profile per group."""
+    return Lexicon(
+        surfaces=tuple(f"w{i}" for i in range(len(groups))),
+        profile_ids=array("I", groups),
+        doc_frequency=(1,) * n_groups,
+        total_count=tuple(range(1, n_groups + 1)),
+        doc_count=2,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_weights())
+@example(([1.0, 3.0], [0, 1, 0, 1, 0]))
+@example(([1e-8, 1e8], [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]))  # mass at both ends
+@example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
+def test_distribution_moments_are_the_exact_sums_rounded_once(case):
+    weights, groups = case
+    total = math.fsum(weights[g] for g in groups)
+    probs = [weights[g] / total for g in groups]
+    grouped = IndexDistribution(grouped_lexicon(len(weights), groups), tuple(w / total for w in weights))
+    expected = exact_moments(probs)
+    for dist in (grouped, distribution(probs)):
+        assert computed_moments(dist) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each profile's sums take several steps
+            assert computed_moments(dist) == expected
+
+
 @settings(max_examples=300, deadline=None)
 @given(grouped_weights())
 @example(([1.0, 2.0], [0, 0, 1, 1]))
@@ -243,21 +272,14 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
 @example(([0.1, 0.2, 0.7], [2, 1, 0, 0, 1, 2, 2]))  # decimal weights, inexact in binary
 def test_density_moments_are_the_exact_sums_rounded_once(case):
     weights, profile_ids = case
-    lexicon = Lexicon(
-        surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
-        profile_ids=array("I", profile_ids),
-        doc_frequency=(1,) * len(weights),
-        total_count=tuple(range(1, len(weights) + 1)),
-        doc_count=2,
-    )
+    lexicon = grouped_lexicon(len(weights), profile_ids)
     probability = probabilities(lexicon, tuple(weights))
-    probs = per_word(lexicon, probability)
-    expected = exact_moments(probs)
-    for dist in (density(lexicon, probability), distribution(probs)):
+    dist = density(lexicon, probability)
+    expected = exact_moments(per_word(lexicon, probability))
+    assert computed_moments(dist) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each profile's sums take several steps
         assert computed_moments(dist) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)  # each profile's sums take several steps
-            assert computed_moments(dist) == expected
 
 
 def test_density_retains_under_one_byte_per_word():
