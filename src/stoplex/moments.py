@@ -4,13 +4,14 @@ The first-appearance index i of each unique word is treated as a discrete
 random variable with P(i) = p_i, one probability per count profile of a
 lexicon (the words with one doc frequency and one total count). Its sums
 are exact: each profile's probability is m / 2**s with one power of two
-2**s for all profiles (float.as_integer_ratio), so E_k = sum of p_i * i**k
-is the integer sum over profiles of m times the profile's exact sum of
-i**k, finished by one correctly rounded int/int division. Dispersion is the
-direct central sum of p_i * (i - E1)**2 about the float E1, done the same
-way with E1 read as a ratio a/b, so it is also correctly rounded and never
-negative. The third central moment uses the raw-moment identity
-E3 - 3*E1*E2 + 2*E1**3. None of it depends on the order of the profiles.
+2**s for all profiles (float.as_integer_ratio). So with X_k the integer sum
+over profiles of m times the profile's exact sum of i**k, E_k = sum of
+p_i * i**k is X_k / 2**s, one correctly rounded int/int division. The
+dispersion, the central sum of p_i * (i - E1)**2 about the float E1 = a/b,
+is by linearity (b*b*X2 - 2*a*b*X1 + a*a*X0) / (2**s * b*b), so it is also
+correctly rounded and never negative. The third central moment uses the
+raw-moment identity E3 - 3*E1*E2 + 2*E1**3. None of it depends on the
+order of the profiles.
 """
 
 from __future__ import annotations
@@ -100,23 +101,18 @@ def density(lexicon: Lexicon, probability: Sequence[float]) -> IndexDistribution
 _POWER_SUM_STEP = 4096
 
 
-def _power_sums(members: Sequence[array]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Per profile: its index count and the exact sums of i, i**2 and i**3 over its indices."""
-    counts: list[int] = []
-    sums: tuple[list[int], list[int], list[int]] = ([], [], [])
-    for indices in members:
-        s1 = s2 = s3 = 0
+def _power_sums(scaled: Sequence[int], members: Sequence[array]) -> tuple[int, int, int, int]:
+    """X_k for k = 0..3: the sum over profiles p of scaled[p] times the exact sum of i**k over p's indices."""
+    x0 = x1 = x2 = x3 = 0
+    for m, indices in zip(scaled, members):
+        x0 += m * len(indices)
         for start in range(0, len(indices), _POWER_SUM_STEP):
             i = indices[start:start + _POWER_SUM_STEP].tolist()
             squares = list(map(mul, i, i))
-            s1 += sum(i)
-            s2 += sum(squares)
-            s3 += sum(map(mul, squares, i))
-        counts.append(len(indices))
-        sums[0].append(s1)
-        sums[1].append(s2)
-        sums[2].append(s3)
-    return (counts, *sums)
+            x1 += m * sum(i)
+            x2 += m * sum(squares)
+            x3 += m * sum(map(mul, squares, i))
+    return x0, x1, x2, x3
 
 
 def moment_summary(dist: IndexDistribution) -> MomentSummary:
@@ -128,12 +124,11 @@ def moment_summary(dist: IndexDistribution) -> MomentSummary:
     verdicts need a real number.
     """
     scaled, scale = _dyadic(dist.values)
-    counts, s1, s2, s3 = _power_sums(dist.lexicon.members)
-    e1, e2, e3 = (sum(map(mul, scaled, s)) / scale for s in (s1, s2, s3))
-    # a profile's sum of (i - a/b)**2 is its sum of (b*i - a)**2 over b**2
+    x0, x1, x2, x3 = _power_sums(scaled, dist.lexicon.members)
+    e1, e2, e3 = x1 / scale, x2 / scale, x3 / scale
+    # the sum of p_i * (i - a/b)**2 is the sum of m_i * (b*i - a)**2 over scale * b**2
     a, b = e1.as_integer_ratio()
-    central = (b * b * s2_g - 2 * a * b * s1_g + a * a * n_g for n_g, s1_g, s2_g in zip(counts, s1, s2))
-    dispersion = sum(map(mul, scaled, central)) / (scale * b * b)
+    dispersion = (b * b * x2 - 2 * a * b * x1 + a * a * x0) / (scale * b * b)
     sigma = math.sqrt(dispersion)
     if sigma**3 == 0.0:  # zero dispersion, or one so small that sigma**3 underflows
         raise DegenerateDistribution(f"sigma**3 is zero at dispersion {dispersion!r}: asymmetry undefined")

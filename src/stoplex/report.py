@@ -43,10 +43,11 @@ XBAR_MODES = ("midpoint", "candidates")
 class RunConfig:
     """Everything one analysis run depends on; the CLI's options and defaults are these fields.
 
-    A bad value raises ValueError. Paths (str, bytes or os.PathLike) are
-    kept as os.fsdecode's text, ``fraction`` as the exact Fraction of the
-    decimal given (0.05 and "0.05" give 1/20), and ``z_critical`` as a float
-    (2 and Fraction(2) give 2.0).
+    A bad value raises ValueError. Paths (str, bytes or os.PathLike, and
+    not empty, which would name the current directory) are kept as
+    os.fsdecode's text, ``fraction`` as the exact Fraction of the decimal
+    given (0.05 and "0.05" give 1/20), and ``z_critical`` as a float (2 and
+    Fraction(2) give 2.0).
     """
 
     inputs: tuple[str, ...]
@@ -59,12 +60,12 @@ class RunConfig:
     order: str = "list"
 
     def __post_init__(self):
-        if isinstance(self.inputs, (str, bytes, os.PathLike)):
-            raise ValueError(f"inputs must be a sequence of paths, not one path: {self.inputs!r}")
+        if isinstance(self.inputs, (str, bytes, os.PathLike)) or not isinstance(self.inputs, Iterable):
+            raise ValueError(f"inputs must be a sequence of paths, got {self.inputs!r}")
         inputs = tuple(self.inputs)
         for path in (*inputs, self.output_dir):
-            if not isinstance(path, (str, bytes, os.PathLike)):
-                raise ValueError(f"a path must be str, bytes or os.PathLike, got {path!r}")
+            if not isinstance(path, (str, bytes, os.PathLike)) or not os.fsdecode(path):
+                raise ValueError(f"a path must be a nonempty str, bytes or os.PathLike, got {path!r}")
         object.__setattr__(self, "inputs", tuple(map(os.fsdecode, inputs)))
         object.__setattr__(self, "output_dir", os.fsdecode(self.output_dir))
         object.__setattr__(self, "averaging", AveragingMode(self.averaging))
@@ -292,7 +293,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     with _stage("moment_summary"):
         summary = moment_summary(dist)
     with _stage("select_candidates"):
-        stopwords = select_candidates(lexicon, probability, config.fraction)
+        stopwords = select_candidates(dist, config.fraction)
     with _stage("interval_coverage"):
         coverage = interval_coverage(stopwords.first_indices, summary)
     with _stage("z_test"):

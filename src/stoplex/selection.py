@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .corpus import Lexicon, _check_profile_column
 from .errors import DomainError
+from .moments import IndexDistribution
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def candidate_count(size: int, fraction) -> int:
     return -((-numerator) // frac.denominator)
 
 
-def select_candidates(lexicon: Lexicon, probability: Sequence[float], fraction=0.05) -> StopwordSet:
-    """Pick the ceil(fraction * N) lowest-probability words, from the profiles' probabilities.
+def select_candidates(dist: IndexDistribution, fraction=0.05) -> StopwordSet:
+    """Pick the ceil(fraction * N) lowest-probability words of a distribution over a lexicon.
 
     Ties break on lower total term count first, then on the
     lexicographically smaller surface form, so reruns always produce the
@@ -82,11 +82,12 @@ def select_candidates(lexicon: Lexicon, probability: Sequence[float], fraction=0
     both (a weight is a rounded float, and a hand-made lexicon's rows are
     arbitrary). Whole groups are taken in ascending order while they fit,
     and only the words of the last group are ranked, by surface. A group's
-    words are its profiles' member lists, joined. Raises DomainError
-    unless there is one probability per profile.
+    words are its profiles' member lists, joined. The distribution has
+    checked its column, so no probability is missing or nan.
     """
-    k = candidate_count(lexicon.size, fraction)
-    _check_profile_column(lexicon, probability, "probability")
+    frac = _as_fraction(fraction)
+    lexicon, probability = dist.lexicon, dist.values
+    k = candidate_count(lexicon.size, frac)
     words = list(map(len, lexicon.members))
     groups: dict[tuple[float, int], list[int]] = {}
     for pid, key in enumerate(zip(probability, lexicon.total_count)):
@@ -108,7 +109,7 @@ def select_candidates(lexicon: Lexicon, probability: Sequence[float], fraction=0
     picked += heapq.nsmallest(k - taken, positions(keys[last]), key=by_surface)
     threshold = keys[last][0]  # the probability of the group it cuts, the last candidate's
     return StopwordSet(
-        fraction=float(_as_fraction(fraction)),
+        fraction=float(frac),
         threshold=threshold,
         words=tuple(map(by_surface, picked)),
         first_indices=tuple(position + 1 for position in picked),

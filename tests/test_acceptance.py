@@ -15,6 +15,7 @@ from stoplex import (
     apply_weights,
     build_lexicon,
     check_table_consistency,
+    density,
     format_percent,
     interval_coverage,
     load_corpus,
@@ -47,11 +48,11 @@ def test_criterion_1_z_score_checkpoint(criterion):
 def test_criterion_2_candidate_count_checkpoint(criterion):
     with criterion(2, "5% of any 12837-entry lexicon selects exactly 642 candidates"):
         uniform = make_lexicon([1 / 12837] * 12837)
-        assert select_candidates(*uniform, 0.05).count == 642
+        assert select_candidates(density(*uniform), 0.05).count == 642
         rng = np.random.default_rng(7)
         weights = rng.random(12837) + 1e-6
         random_lexicon = weighted_lexicon(weights.tolist())
-        assert select_candidates(*random_lexicon, 0.05).count == 642
+        assert select_candidates(density(*random_lexicon), 0.05).count == 642
 
 
 def test_criterion_3_coverage_checkpoint(criterion):
@@ -194,8 +195,8 @@ def test_criterion_7_invariance_suite(criterion, tmp_path):
                 assert a.idf == b.idf
                 assert a.weight == b.weight
                 assert a.probability == b.probability
-            base_sel = select_candidates(base, base_p, 0.25)
-            doubled_sel = select_candidates(doubled, doubled_p, 0.25)
+            base_sel = select_candidates(density(base, base_p), 0.25)
+            doubled_sel = select_candidates(density(doubled, doubled_p), 0.25)
             assert base_sel.words == doubled_sel.words
 
             # uniform weight scaling
@@ -204,7 +205,8 @@ def test_criterion_7_invariance_suite(criterion, tmp_path):
                 reference = weighted_lexicon(per_word(base, apply_weights(base)))
                 for a, b in zip(reference[1], scaled[1]):
                     assert b == pytest.approx(a, abs=1e-12)
-                assert select_candidates(*reference, 0.25).words == select_candidates(*scaled, 0.25).words
+                reference_sel = select_candidates(density(*reference), 0.25)
+                assert reference_sel.words == select_candidates(density(*scaled), 0.25).words
         assert effective >= 50
 
         # rerun determinism: byte-identical outputs

@@ -65,12 +65,14 @@ def test_distribution_validation():
     "values",
     [
         (),  # the toy lexicon's two count profiles have no value
+        (0.375,),  # its second profile has none
         TOY_P,  # three values for two count profiles
+        (0.375, 0.25, 0.5),  # its two probabilities and one more
     ],
-    ids=["group-without-value", "value-without-group"],
+    ids=["group-without-value", "one-group-without-value", "value-without-group", "surplus-value"],
 )
 def test_distribution_rejects_mismatched_groups(toy_lexicon, values):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="probability"):
         IndexDistribution(toy_lexicon, values)
 
 

@@ -34,16 +34,10 @@ from conftest import (
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
-def weighted_parts(lexicon):
-    """The lexicon's probabilities with the default weights, by profile id, and its distribution."""
-    probability = probability_of(lexicon)
-    return probability, density(lexicon, probability)
-
-
 def toy_parts():
     lexicon = build_lexicon(load_corpus(TOY_SOURCES))
-    probability, dist = weighted_parts(lexicon)
-    return dist, moment_summary(dist), select_candidates(lexicon, probability, 0.4)
+    dist = density(lexicon, probability_of(lexicon))
+    return dist, moment_summary(dist), select_candidates(dist, 0.4)
 
 
 def by_class(svg: str) -> dict[str, int]:
@@ -87,7 +81,7 @@ def test_density_plot_full_scale_fast_and_small():
     n = 12837
     dist = distribution(1 / n for _ in range(n))
     summary = moment_summary(dist)
-    selected = select_candidates(*make_lexicon([1 / n] * n), 0.05)
+    selected = select_candidates(dist, 0.05)
     start = time.perf_counter()
     svg = emit_density_plot(dist, selected.first_indices, summary)
     elapsed = time.perf_counter() - start
@@ -101,9 +95,8 @@ def test_both_plots_small_at_100k_words(monkeypatch):
     rng = random.Random(7)
     weights = [rng.paretovariate(1.0) for _ in range(n)]
     total = sum(weights)
-    lexicon, probability = make_lexicon([w / total for w in weights])
-    dist = density(lexicon, probability)
-    selected = select_candidates(lexicon, probability, 0.05)
+    dist = density(*make_lexicon([w / total for w in weights]))
+    selected = select_candidates(dist, 0.05)
 
     summary = moment_summary(dist)
 
@@ -127,9 +120,9 @@ def test_both_plots_small_at_100k_words(monkeypatch):
 def test_density_plot_memory_is_far_below_one_point_per_word():
     n_words = 100_000
     lexicon = build_lexicon(six_profile_corpus(n_words))
-    probability, dist = weighted_parts(lexicon)
+    dist = density(lexicon, probability_of(lexicon))
     summary = moment_summary(dist)
-    selected = select_candidates(lexicon, probability, 0.05)
+    selected = select_candidates(dist, 0.05)
     tracemalloc.start()
     try:
         emit_density_plot(dist, selected.first_indices, summary)
@@ -143,8 +136,8 @@ def test_density_plot_memory_is_far_below_one_point_per_word():
 
 def test_plots_map_far_fewer_points_than_words(monkeypatch):
     lexicon = build_lexicon(six_profile_corpus(100_000))
-    probability, dist = weighted_parts(lexicon)
-    selected = select_candidates(lexicon, probability, 0.05)
+    dist = density(lexicon, probability_of(lexicon))
+    selected = select_candidates(dist, 0.05)
     calls = 0
     x = stoplex.plots._Frame.x
 
@@ -184,16 +177,16 @@ def test_sorted_plot_descending_order():
 
 
 def test_sorted_plot_uniform_probabilities():
-    lexicon, probability = make_lexicon([0.25] * 4)
-    selected = select_candidates(lexicon, probability, 0.3)  # k = 2
-    svg = emit_sorted_plot(density(lexicon, probability), selected.count)
+    dist = density(*make_lexicon([0.25] * 4))
+    selected = select_candidates(dist, 0.3)  # k = 2
+    svg = emit_sorted_plot(dist, selected.count)
     assert "cutoff (rank 2)" in svg
 
 
 def test_sorted_plot_single_word():
-    lexicon, probability = make_lexicon([1.0])
-    selected = select_candidates(lexicon, probability, 0.5)  # k = 1
-    svg = emit_sorted_plot(density(lexicon, probability), selected.count)
+    dist = density(*make_lexicon([1.0]))
+    selected = select_candidates(dist, 0.5)  # k = 1
+    svg = emit_sorted_plot(dist, selected.count)
     assert "cutoff (rank 0)" in svg
     counts = by_class(svg)
     assert counts.get("word", 0) + counts.get("stopword", 0) == 1
@@ -244,7 +237,7 @@ def plot_cases(draw, sizes, weights, candidates=st.sampled_from(["select", "scat
     how = draw(candidates)
     if how == "select":
         fraction = draw(st.sampled_from(["0.05", "0.5", "0.999"]))
-        indices = select_candidates(lexicon, probability, fraction).first_indices
+        indices = select_candidates(density(lexicon, probability), fraction).first_indices
     else:
         k = rng.randint(0, n) if how == "scattered" else max(n - rng.randint(0, 3), 0)
         indices = rng.sample(range(1, n + 1), k)
@@ -270,7 +263,7 @@ def assert_plots_match_oracle(lexicon, probability, indices):
 
 def test_one_word_plots_match_oracle():
     lexicon, probability = _profile_lexicon([1.0], [0])
-    for indices in (select_candidates(lexicon, probability, 0.05).first_indices, []):
+    for indices in (select_candidates(density(lexicon, probability), 0.05).first_indices, []):
         assert_plots_match_oracle(lexicon, probability, indices)
 
 

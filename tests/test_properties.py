@@ -11,6 +11,7 @@ from stoplex import (
     apply_weights,
     build_lexicon,
     candidate_count,
+    density,
     load_corpus,
     moment_summary,
     probabilities,
@@ -84,8 +85,8 @@ integer_weights = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1
 
 @given(integer_weights, st.sampled_from([0.5, 0.25, 3.7, 1e4, 12345.678]))
 def test_scaling_weights_preserves_candidates(weights, scale):
-    base = select_candidates(*weighted_lexicon([float(w) for w in weights]), 0.25)
-    scaled = select_candidates(*weighted_lexicon([w * scale for w in weights]), 0.25)
+    base = select_candidates(density(*weighted_lexicon([float(w) for w in weights])), 0.25)
+    scaled = select_candidates(density(*weighted_lexicon([w * scale for w in weights])), 0.25)
     assert base.words == scaled.words
 
 
@@ -124,8 +125,8 @@ def test_corpus_duplication_invariance(sources):
         assert a.idf == b.idf  # ln(2n/2m) == ln(n/m) exactly
         assert a.weight == b.weight
         assert a.probability == b.probability
-    base_sel = select_candidates(base, base_p, 0.25)
-    doubled_sel = select_candidates(doubled, doubled_p, 0.25)
+    base_sel = select_candidates(density(base, base_p), 0.25)
+    doubled_sel = select_candidates(density(doubled, doubled_p), 0.25)
     assert base_sel.words == doubled_sel.words
 
 
@@ -208,7 +209,7 @@ def test_candidate_count_is_exact_ceiling(size, fraction):
 def test_selection_size_and_order(weights, fraction):
     lexicon, weight = make_lexicon(weights)
     probability = probabilities(lexicon, weight)
-    selected = select_candidates(lexicon, probability, fraction)
+    selected = select_candidates(density(lexicon, probability), fraction)
     assert selected.count == candidate_count(lexicon.size, fraction)
     probs = [e.probability for e in candidate_rows(lexicon, weight, probability, selected)]
     assert probs == sorted(probs)

@@ -12,6 +12,7 @@ from stoplex import (
     apply_weights,
     build_lexicon,
     candidate_count,
+    density,
     export_list,
     load_corpus,
     probabilities,
@@ -39,15 +40,8 @@ def test_fraction_domain():
         candidate_count(0, 0.05)
 
 
-def test_selection_requires_one_probability_per_profile(toy_lexicon):
-    probability = probability_of(toy_lexicon)
-    for wrong in ((), probability[:1], probability + (0.5,)):
-        with pytest.raises(DomainError, match="probability"):
-            select_candidates(toy_lexicon, wrong, 0.4)
-
-
 def test_toy_selection(toy_lexicon):
-    selected = select_candidates(toy_lexicon, probability_of(toy_lexicon), 0.4)
+    selected = select_candidates(density(toy_lexicon, probability_of(toy_lexicon)), 0.4)
     assert selected.count == 2
     assert selected.words == ("nok", "olma")
     assert selected.threshold == pytest.approx(0.375, abs=1e-15)
@@ -56,27 +50,27 @@ def test_toy_selection(toy_lexicon):
 
 def test_equal_probabilities_tie_break():
     surfaces = [f"word{chr(ord('a') + i)}" for i in range(20)]
-    selected = select_candidates(*make_lexicon([1 / 20] * 20, surfaces=surfaces), 0.05)
+    selected = select_candidates(density(*make_lexicon([1 / 20] * 20, surfaces=surfaces)), 0.05)
     assert selected.count == 1
     assert selected.words[0] == min(surfaces)
 
 
 def test_tie_break_prefers_lower_total_count():
     lexicon, probability = make_lexicon([0.25, 0.25, 0.25, 0.25], counts=[9, 2, 9, 9])
-    selected = select_candidates(lexicon, probability, 0.3)  # k = 2
+    selected = select_candidates(density(lexicon, probability), 0.3)  # k = 2
     assert [e.total_count for e in candidate_rows(lexicon, probability, probability, selected)] == [2, 9]
     assert selected.words[1] == "w000001"
 
 
 def test_full_scale_count():
-    selected = select_candidates(*make_lexicon([1 / 12837] * 12837), 0.05)
+    selected = select_candidates(density(*make_lexicon([1 / 12837] * 12837)), 0.05)
     assert selected.count == 642
 
 
 def test_selection_is_deterministic(toy_lexicon):
-    probability = probability_of(toy_lexicon)
-    first = select_candidates(toy_lexicon, probability, 0.4)
-    second = select_candidates(toy_lexicon, probability, 0.4)
+    dist = density(toy_lexicon, probability_of(toy_lexicon))
+    first = select_candidates(dist, 0.4)
+    second = select_candidates(dist, 0.4)
     assert first.words == second.words
     assert first == second
 
@@ -87,7 +81,7 @@ def test_zero_probability_words_selected_first():
     lexicon = build_lexicon(corpus)
     weight = apply_weights(lexicon)
     probability = probabilities(lexicon, weight)
-    selected = select_candidates(lexicon, probability, 0.1)  # k = ceil(1.1) = 2 of 11
+    selected = select_candidates(density(lexicon, probability), 0.1)  # k = ceil(1.1) = 2 of 11
     assert selected.words[0] == "a"
     assert candidate_rows(lexicon, weight, probability, selected)[0].probability == 0.0
 
@@ -102,13 +96,13 @@ def test_equal_counts_tie_exactly_and_break_by_surface(mode):
     rows = {e.surface: e for e in word_rows(lexicon, weight, probability)}
     assert (rows["a"].doc_frequency, rows["a"].total_count) == (rows["b"].doc_frequency, rows["b"].total_count)
     assert rows["a"].weight == rows["b"].weight
-    selected = select_candidates(lexicon, probability, 0.5)  # k = ceil(1.5) = 2 of 3
+    selected = select_candidates(density(lexicon, probability), 0.5)  # k = ceil(1.5) = 2 of 3
     assert selected.words == ("a", "b")
     assert selected.tied_at_threshold == 2
 
 
 def test_export_list_toy(toy_lexicon):
-    selected = select_candidates(toy_lexicon, probability_of(toy_lexicon), 0.4)
+    selected = select_candidates(density(toy_lexicon, probability_of(toy_lexicon)), 0.4)
     assert export_list(selected) == "nok\nolma\n"
 
 
@@ -126,7 +120,7 @@ def test_export_list_empty():
 
 
 def test_export_list_line_count():
-    selected = select_candidates(*make_lexicon([1 / 12837] * 12837), 0.05)
+    selected = select_candidates(density(*make_lexicon([1 / 12837] * 12837)), 0.05)
     text = export_list(selected)
     assert text.count("\n") == 642
     assert text.endswith("\n")
@@ -139,16 +133,18 @@ def test_export_list_line_count():
     st.data(),
 )
 def test_selection_equals_full_sort_under_ties(rows, fraction, data):
-    # few distinct probabilities and counts, so most keys tie until the surface
+    # few distinct weights and counts, so most keys tie until the surface
+    assume(any(weight for weight, _ in rows))
     order = data.draw(st.permutations(range(len(rows))))
-    lexicon, probability = make_lexicon(
-        [p for p, _ in rows], counts=[c for _, c in rows], surfaces=[f"w{i:03d}" for i in order]
+    lexicon, weight = make_lexicon(
+        [w for w, _ in rows], counts=[c for _, c in rows], surfaces=[f"w{i:03d}" for i in order]
     )
+    probability = probabilities(lexicon, weight)
     ranked = sorted(
-        word_rows(lexicon, probability, probability), key=lambda e: (e.probability, e.total_count, e.surface)
+        word_rows(lexicon, weight, probability), key=lambda e: (e.probability, e.total_count, e.surface)
     )
     k = candidate_count(lexicon.size, fraction)
-    chosen = select_candidates(lexicon, probability, fraction)
+    chosen = select_candidates(density(lexicon, probability), fraction)
     assert chosen.first_indices == tuple(e.first_index for e in ranked[:k])
     assert chosen.words == tuple(e.surface for e in ranked[:k])
     assert chosen.threshold == ranked[k - 1].probability
@@ -197,8 +193,9 @@ def test_selection_ranks_permuted_profiles_together(texts):
         probability = probabilities(lexicon, weight)
         rows = word_rows(lexicon, weight, probability)
         ranked = sorted(rows, key=lambda e: (e.probability, e.total_count, e.surface))
+        dist = density(lexicon, probability)
         for k in range(1, lexicon.size):
-            chosen = select_candidates(lexicon, probability, Fraction(k, lexicon.size))
+            chosen = select_candidates(dist, Fraction(k, lexicon.size))
             assert chosen.first_indices == tuple(e.first_index for e in ranked[:k])
             assert chosen.words == tuple(e.surface for e in ranked[:k])
             threshold = ranked[k - 1].probability
