@@ -1,16 +1,16 @@
 """Command line interface.
 
 Exit codes: 0 success; 2 bad option values, input that is missing,
-unreadable, undecodable or empty (no file, or no word), or an output
-directory that cannot be made; 3 degenerate corpora (no tf-idf signal or
-zero variance); 1 any other stoplex error, such as a renderer failure.
+unreadable, undecodable or empty (no file, or no word), an output
+directory that cannot be made, or an input that is one of the run's
+outputs; 3 degenerate corpora (no tf-idf signal or zero variance); 1 any
+other stoplex error, such as a renderer failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import MISSING, fields
 from pathlib import Path
 
 from ._version import __version__
@@ -61,9 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--order", choices=ORDER_MODES, help="document order: as given, or re-sorted by file name"
     )
-    analyze.set_defaults(
-        func=_cmd_analyze, **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
-    )
+    analyze.set_defaults(func=_cmd_analyze, **RunConfig._field_defaults)
 
     tok = sub.add_parser("tokenize", help="print the tokens of one file, one per line")
     tok.add_argument("file")
@@ -75,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    report = run_pipeline(RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)}))
+    report = run_pipeline(RunConfig(**{name: getattr(args, name) for name in RunConfig._fields}))
     _print_summary(report)
     return 0
 

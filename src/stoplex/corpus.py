@@ -23,7 +23,6 @@ import re
 import unicodedata
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -96,8 +95,7 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """Per-word counts of an ordered collection of documents.
 
     ``counts_of`` maps each distinct token, in order of first appearance, to
@@ -120,8 +118,16 @@ class WordEntry(NamedTuple):
     total_count: int
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class _LexiconFields(NamedTuple):
+    surfaces: tuple[str, ...]
+    profile_ids: array  # array("I"): one profile id per word
+    doc_frequency: tuple[int, ...]
+    total_count: tuple[int, ...]
+    doc_count: int  # documents in the corpus the words were counted in
+    members: tuple[array, ...]
+
+
+class Lexicon(_LexiconFields):
     """Unique words in first-appearance order over a table of count profiles.
 
     A word's count profile is its (doc_frequency, total_count) pair; most
@@ -132,30 +138,28 @@ class Lexicon:
     return their columns by profile id, which the later stages take.
 
     ``members[p]`` is an array("I") of the ascending first indices of
-    profile p's words, the inverse of ``profile_ids``, built on every
-    construction. The stages after build_lexicon read a profile's words
-    from it. Raises DomainError when the columns differ in length or a
-    profile id has no row.
+    profile p's words, the inverse of ``profile_ids``. It is the last field
+    and no argument: every construction builds it, _replace too. The stages
+    after build_lexicon read a profile's words from it. Raises DomainError
+    when the columns differ in length or a profile id has no row.
 
     ``entries`` is the one per-word row view, made for every word on each
     call; no stage reads it.
     """
 
-    surfaces: tuple[str, ...]
-    profile_ids: array  # array("I"): one profile id per word
-    doc_frequency: tuple[int, ...]
-    total_count: tuple[int, ...]
-    doc_count: int  # documents in the corpus the words were counted in
-    members: tuple[array, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:-1]))  # _replace's path: rebuild members
+    __getnewargs__ = lambda self: self[:-1]  # copy and pickle call __new__, which takes no members
 
-    def __post_init__(self):
-        profiles = len(self.total_count)
-        if len(self.surfaces) != len(self.profile_ids) or len(self.doc_frequency) != profiles:
+    def __new__(cls, surfaces, profile_ids, doc_frequency, total_count, doc_count):
+        profiles = len(total_count)
+        if len(surfaces) != len(profile_ids) or len(doc_frequency) != profiles:
             raise DomainError("a lexicon needs one profile id per surface and one total per doc frequency")
         try:
-            object.__setattr__(self, "members", _index_lists(self.profile_ids, profiles))
+            members = _index_lists(profile_ids, profiles)
         except IndexError:
             raise DomainError(f"a profile id is outside the {profiles} profile rows") from None
+        return super().__new__(cls, surfaces, profile_ids, doc_frequency, total_count, doc_count, members)
 
     @property
     def size(self) -> int:

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import Lexicon, _check_profile_column
 from .errors import DegenerateDistribution, DomainError
@@ -40,35 +39,39 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
     return [m * (scale // d) for m, d in ratios], scale
 
 
-@dataclass(frozen=True)
-class IndexDistribution:
+class _IndexDistributionFields(NamedTuple):
+    lexicon: Lexicon
+    values: tuple[float, ...]
+
+
+class IndexDistribution(_IndexDistributionFields):
     """Probabilities for a lexicon's first indices 1..N, one per count profile.
 
     Index i has probability ``values[lexicon.profile_ids[i - 1]]``; profile
     p's indices are ``lexicon.members[p]``. Profiles may share a value.
-    Raises DomainError unless the lexicon has at least one word, there is
-    one value per profile, every value is finite and >= 0, and the exact
-    total is within 1e-12 of 1.
+    Raises DomainError, on construction and on _replace, unless the lexicon
+    has at least one word, there is one value per profile, every value is
+    finite and >= 0, and the exact total is within 1e-12 of 1.
     """
 
-    lexicon: Lexicon
-    values: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace's path: check again
 
-    def __post_init__(self):
-        if not self.lexicon.surfaces:
+    def __new__(cls, lexicon, values):
+        if not lexicon.surfaces:
             raise DomainError("a distribution needs at least one word")
-        _check_profile_column(self.lexicon, self.values, "probability")
-        for p in self.values:
+        _check_profile_column(lexicon, values, "probability")
+        for p in values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
-        scaled, scale = _dyadic(self.values)
-        total = sum(map(mul, scaled, map(len, self.lexicon.members))) / scale
+        scaled, scale = _dyadic(values)
+        total = sum(map(mul, scaled, map(len, lexicon.members))) / scale
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
+        return super().__new__(cls, lexicon, values)
 
 
-@dataclass(frozen=True)
-class MomentSummary:
+class MomentSummary(NamedTuple):
     """Summary statistics of an index distribution.
 
     Plain record: it may also hold values copied from an external report,

@@ -10,9 +10,8 @@ ends).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateDistribution, DomainError, NonFinite
 from .moments import ZERO_SKEW_EPS, MomentSummary
@@ -35,8 +34,7 @@ class Location(str, Enum):
     BOTH_ENDS = "BothEnds"
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Candidate counts by side of the open interval (E - sigma, E + sigma)."""
 
     left_count: int
@@ -52,8 +50,7 @@ class CoverageReport:
         return (self.left_count + self.right_count) / self.total
 
 
-@dataclass(frozen=True)
-class ZTestResult:
+class ZTestResult(NamedTuple):
     n_unique: int
     sample_mean: float
     z: float
@@ -62,8 +59,7 @@ class ZTestResult:
     decision: Decision
 
 
-@dataclass(frozen=True)
-class LocationVerdict:
+class LocationVerdict(NamedTuple):
     location: Location
     asymmetry: float
 

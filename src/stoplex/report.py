@@ -13,11 +13,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._version import __version__
 from .corpus import ORDER_MODES, Lexicon, _check_profile_column, build_lexicon, collect_input_files
@@ -39,17 +38,7 @@ from .weighting import AveragingMode, apply_weights, inverse_document_frequency,
 XBAR_MODES = ("midpoint", "candidates")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one analysis run depends on; the CLI's options and defaults are these fields.
-
-    A bad value raises ValueError. Paths (str, bytes or os.PathLike, and
-    not empty, which would name the current directory) are kept as
-    os.fsdecode's text, ``fraction`` as the exact Fraction of the decimal
-    given (0.05 and "0.05" give 1/20), and ``z_critical`` as a float (2 and
-    Fraction(2) give 2.0).
-    """
-
+class _RunConfigFields(NamedTuple):
     inputs: tuple[str, ...]
     fraction: Fraction | float | str = 0.05
     averaging: AveragingMode | str = AveragingMode.ALL_DOCS
@@ -59,38 +48,51 @@ class RunConfig:
     plots: bool = False
     order: str = "list"
 
-    def __post_init__(self):
-        if isinstance(self.inputs, (str, bytes, os.PathLike)) or not isinstance(self.inputs, Iterable):
-            raise ValueError(f"inputs must be a sequence of paths, got {self.inputs!r}")
-        inputs = tuple(self.inputs)
-        for path in (*inputs, self.output_dir):
+
+class RunConfig(_RunConfigFields):
+    """Everything one analysis run depends on; the CLI's options and defaults are these fields.
+
+    A bad value raises ValueError, on construction and on _replace. Paths
+    (str, bytes or os.PathLike, and not empty, which would name the current
+    directory) are kept as os.fsdecode's text, ``fraction`` as the exact
+    Fraction of the decimal given (0.05 and "0.05" give 1/20), and
+    ``z_critical`` as a float (2 and Fraction(2) give 2.0).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace's path: check again
+
+    def __new__(cls, *args, **kwargs):
+        given = _RunConfigFields(*args, **kwargs)  # binds the arguments to the fields and their defaults
+        if isinstance(given.inputs, (str, bytes, os.PathLike)) or not isinstance(given.inputs, Iterable):
+            raise ValueError(f"inputs must be a sequence of paths, got {given.inputs!r}")
+        inputs = tuple(given.inputs)
+        for path in (*inputs, given.output_dir):
             if not isinstance(path, (str, bytes, os.PathLike)) or not os.fsdecode(path):
                 raise ValueError(f"a path must be a nonempty str, bytes or os.PathLike, got {path!r}")
-        object.__setattr__(self, "inputs", tuple(map(os.fsdecode, inputs)))
-        object.__setattr__(self, "output_dir", os.fsdecode(self.output_dir))
-        object.__setattr__(self, "averaging", AveragingMode(self.averaging))
+        averaging = AveragingMode(given.averaging)
         try:
-            frac = _as_fraction(self.fraction)
+            frac = _as_fraction(given.fraction)
         except DomainError as exc:
             raise ValueError(str(exc)) from None
         # the report echoes float(frac), so that value must lie in (0, 1) too
         if not (0 < frac < 1 and 0.0 < float(frac) < 1.0):
-            raise ValueError(f"fraction must lie in (0, 1), got {self.fraction!r}")
-        object.__setattr__(self, "fraction", frac)
-        z = self.z_critical  # the run reads float(z), so z must neither overflow nor round to 0.0
+            raise ValueError(f"fraction must lie in (0, 1), got {given.fraction!r}")
+        z = given.z_critical  # the run reads float(z), so z must neither overflow nor round to 0.0
         if isinstance(z, bool) or not isinstance(z, Real) or not 0 < z <= sys.float_info.max or float(z) == 0:
             raise ValueError(f"z_critical must be a finite real number > 0, got {z!r}")
-        object.__setattr__(self, "z_critical", float(z))
-        if not isinstance(self.plots, bool):
-            raise ValueError(f"plots must be True or False, got {self.plots!r}")
-        if self.xbar_mode not in XBAR_MODES:
-            raise ValueError(f"xbar_mode must be one of {XBAR_MODES}, got {self.xbar_mode!r}")
-        if self.order not in ORDER_MODES:
-            raise ValueError(f"order must be one of {ORDER_MODES}, got {self.order!r}")
+        if not isinstance(given.plots, bool):
+            raise ValueError(f"plots must be True or False, got {given.plots!r}")
+        if given.xbar_mode not in XBAR_MODES:
+            raise ValueError(f"xbar_mode must be one of {XBAR_MODES}, got {given.xbar_mode!r}")
+        if given.order not in ORDER_MODES:
+            raise ValueError(f"order must be one of {ORDER_MODES}, got {given.order!r}")
+        inputs, output_dir = tuple(map(os.fsdecode, inputs)), os.fsdecode(given.output_dir)
+        fields = inputs, frac, averaging, given.xbar_mode, float(z), output_dir, given.plots, given.order
+        return super().__new__(cls, *fields)
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Aggregated results of one pipeline run."""
 
     doc_count: int
@@ -271,12 +273,14 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     were and no temporary files, and removes the directories it created.
     An output directory that cannot be made (a file sits where one of its
     directories should be), or a directory at an output name, fails before
-    any work is done.
+    any work is done, and an input that is one of the outputs before any
+    input is read.
     """
     with _stage("output_dir"):
         _check_output_dir(Path(config.output_dir), _output_names(config))
     with _stage("load_corpus"):
         files = collect_input_files(config.inputs, config.order)
+        _check_no_output_is_read(files, Path(config.output_dir), _output_names(config))
         corpus = load_corpus_from_paths(files)
         if corpus.token_total == 0:
             raise EmptyCorpus("no document holds a word")
@@ -342,6 +346,19 @@ def _check_output_dir(out_dir: Path, names: Iterable[str]) -> None:
     for path in map(out_dir.joinpath, names):
         if path.is_dir() and not path.is_symlink():
             raise IsADirectoryError(f"cannot write output {path}: it is a directory")
+
+
+def _check_no_output_is_read(files: Iterable[Path], out_dir: Path, names: Sequence[str]) -> None:
+    """Raise FileExistsError naming the first of ``files`` that is one of the outputs ``names`` in ``out_dir``.
+
+    A rerun whose --out is one of its input directories would otherwise read
+    the earlier run's outputs as documents. Only a file with an output's name
+    is compared, by os.path.samefile, so no path is resolved per file.
+    """
+    for path in files:
+        output = out_dir / path.name
+        if path.name in names and output.exists() and os.path.samefile(path, output):
+            raise FileExistsError(f"input {path} is one of this run's outputs")
 
 
 def _output_names(config: RunConfig) -> tuple[str, ...]:

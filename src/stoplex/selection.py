@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError
 from .moments import IndexDistribution
 
 
-@dataclass(frozen=True)
-class StopwordSet:
+class StopwordSet(NamedTuple):
     """The selected candidates by column, sorted ascending by probability.
 
     The three counts say how decisive the data was: the candidates are the

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -221,7 +220,7 @@ def test_config_keeps_z_critical_as_a_float(tmp_path):
     assert all(type(config.z_critical) is float for config in configs)
     reports = []
     for number, config in enumerate(configs):
-        run_pipeline(dataclasses.replace(config, output_dir=tmp_path / str(number)))
+        run_pipeline(config._replace(output_dir=tmp_path / str(number)))
         reports.append((tmp_path / str(number) / "report.json").read_bytes())
     assert reports[0] == reports[1] == reports[2]
     # json cannot write a Fraction, so a run that kept it would fail at its last step
@@ -232,7 +231,7 @@ def test_config_keeps_z_critical_as_a_float(tmp_path):
 
 def test_report_rejects_a_non_finite_value_by_its_dotted_key(tmp_path):
     report = run_pipeline(toy_config(tmp_path))
-    broken = dataclasses.replace(report, z_test=dataclasses.replace(report.z_test, z=float("nan")))
+    broken = report._replace(z_test=report.z_test._replace(z=float("nan")))
     with pytest.raises(NonFinite, match=r"report\.z_test\.z is nan"):
         broken.to_dict()
 
@@ -397,6 +396,34 @@ def test_cli_directory_at_an_output_name_exit_2_before_any_work(tmp_path, monkey
     assert (tmp_path / "elsewhere").is_dir()
 
 
+def test_cli_rerun_into_an_input_directory_exit_2_before_any_work(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("olma nok olma", encoding="utf-8")
+    (corpus / "b.txt").write_text("nok uzum", encoding="utf-8")
+    (tmp_path / "link").symlink_to(corpus)
+    assert main(["analyze", str(corpus), "--out", str(corpus)]) == 0
+    assert capsys.readouterr().out.startswith("documents: 2  unique words: 3  tokens: 5\n")
+    outputs = {p.name: p.read_bytes() for p in corpus.iterdir()}
+    assert sorted(outputs) == ["a.txt", "b.txt", "report.json", "stopwords.txt", "words.csv"]
+
+    def load_corpus_from_paths(paths):
+        raise AssertionError("the corpus was loaded")
+
+    monkeypatch.setattr(stoplex.report, "load_corpus_from_paths", load_corpus_from_paths)
+    # the rerun would read its outputs as documents: by name, by one given explicitly, through a link
+    for args in ([str(corpus), "--out", str(corpus)], [str(corpus / "report.json"), "--out", str(corpus)],
+                 [str(corpus), "--out", str(tmp_path / "link")]):
+        assert main(["analyze", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"stoplex: [load_corpus] input {corpus / 'report.json'} is one of this run's outputs\n"
+        assert {p.name: p.read_bytes() for p in corpus.iterdir()} == outputs
+    # outputs that this run does not write are read like any other file
+    monkeypatch.undo()
+    assert main(["analyze", str(corpus), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.startswith("documents: 5  ")
+
+
 def _fail_last_output(monkeypatch):
     def emit_sorted_plot(*args):
         raise StoplexError("cannot render")
@@ -551,6 +578,8 @@ def test_cli_analyze_imports_only_the_standard_library(tmp_path):
     assert "stoplex.plots" in imported
     foreign = [name for name in imported if name.partition(".")[0] not in {"stoplex", *sys.stdlib_module_names}]
     assert foreign == []
+    # dataclasses and the inspect it pulls in would be half of the package's import time
+    assert {"dataclasses", "inspect"}.isdisjoint(imported)
 
 
 def test_cli_order_flag(tmp_path, capsys):

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from array import array
-from dataclasses import replace
 from operator import mul
 
 import pytest
@@ -63,7 +62,7 @@ def test_weight_zero_iff_in_every_document():
 
 def test_apply_weights_rejects_doc_frequency_above_doc_count(toy_lexicon):
     # every toy word occurs in 2 documents, which a 1-document lexicon cannot hold
-    lexicon = replace(toy_lexicon, doc_count=1)
+    lexicon = toy_lexicon._replace(doc_count=1)
     with pytest.raises(DomainError):
         apply_weights(lexicon)
 

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,7 +83,7 @@ def test_words_csv_matches_csv_writer(case):
     lexicon, weight, probability = case
     if CSV_QUOTES_LONE_CR:
         surfaces = tuple(surface.replace("\r", "") for surface in lexicon.surfaces)
-        lexicon = replace(lexicon, surfaces=surfaces)
+        lexicon = lexicon._replace(surfaces=surfaces)
     expected = csv_oracle.words_csv(word_rows(lexicon, weight, probability))
     assert words_csv(lexicon, weight, probability) == expected
     for batch in BATCHES:
