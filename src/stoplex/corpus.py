@@ -8,8 +8,11 @@ create spurious unique words. Text is NFC-normalized before scanning and
 tokens are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
 ½, Ⅻ and ², even where a word pattern matches them together with letters.
-An ASCII text (Uzbek Latin is often typed so, with ' or ` for oʻ/gʻ) takes
-a shorter path that gives the same tokens with no pattern scan: one
+Non-ASCII text is cut into whitespace chunks once every apostrophe that
+cannot attach and every , and . are blanked; a chunk of letters alone is
+one word, and only the other chunks go through the word pattern. An ASCII
+text (Uzbek Latin is often typed so, with ' or ` for oʻ/gʻ) takes a
+shorter path that gives the same tokens with no pattern scan: one
 str.translate lowercases its letters and blanks every other character but
 the apostrophes, str.replace blanks each apostrophe that does not sit
 between two letters, and str.split cuts the words. ASCII needs no NFC, its
@@ -44,6 +47,9 @@ _VARIANT_APOSTROPHES = "'’ʼ`"
 # hide inside a letter run. (U+02BC is a letter too, but never reaches the
 # pattern.)
 _WORD = re.compile(r"[^\W\d_ʻ]+(?:ʻ[^\W\d_ʻ]+)*")
+# A U+02BB that _WORD never attaches: one not followed by, or not preceded
+# by, a character of its class.
+_LOOSE_APOSTROPHE = re.compile(r"ʻ(?:(?![^\W\d_ʻ])|(?<![^\W\d_ʻ]ʻ))")
 # On ASCII text [^\W\d_ʻ] is exactly [A-Za-z]: the table lowercases those,
 # writes both ASCII apostrophes as ' and every other code point as a space.
 _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
@@ -66,6 +72,16 @@ def tokenize(text: str) -> list[str]:
     - Tokens are lowercased (and re-normalized, since lowercasing can
       denormalize in rare cases).
 
+    Non-ASCII text is NFC-normalized and its apostrophe variants rewritten,
+    then _LOOSE_APOSTROPHE blanks each U+02BB that _WORD would not attach,
+    str.replace blanks , and . (the separators most often glued to words)
+    and str.split cuts the chunks. None of those blanked characters is in
+    _WORD's class, nor is whitespace, so no word spans two chunks. A chunk
+    for which str.isalpha holds has only class characters and U+02BB, each
+    between two class characters, so it is one _WORD match whole and skips
+    the pattern; the other chunks are scanned with _WORD. Each token is
+    still lowercased on its own, so final sigma and İ come out as before.
+
     An ASCII text takes C-level string methods instead, which give the
     same tokens: it is already NFC, its only apostrophe variants are ' and
     `, and ASCII lowercasing maps each letter alone. After _ASCII_FOLD the
@@ -83,15 +99,20 @@ def tokenize(text: str) -> list[str]:
     text = unicodedata.normalize("NFC", text)
     for apostrophe in _VARIANT_APOSTROPHES:
         text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
+    text = _LOOSE_APOSTROPHE.sub(" ", text).replace(",", " ").replace(".", " ")
     tokens: list[str] = []
-    for word in _WORD.findall(text):
-        if word.isalpha():
-            tokens.append(unicodedata.normalize("NFC", word.lower()))
+    for chunk in text.split():
+        if chunk.isalpha():
+            tokens.append(unicodedata.normalize("NFC", chunk.lower()))
             continue
-        for part in "".join(ch if ch.isalpha() else " " for ch in word).split():
-            part = part.strip(CANONICAL_APOSTROPHE)
-            if part:
-                tokens.append(unicodedata.normalize("NFC", part.lower()))
+        for word in _WORD.findall(chunk):
+            if word.isalpha():
+                tokens.append(unicodedata.normalize("NFC", word.lower()))
+                continue
+            for part in "".join(ch if ch.isalpha() else " " for ch in word).split():
+                part = part.strip(CANONICAL_APOSTROPHE)
+                if part:
+                    tokens.append(unicodedata.normalize("NFC", part.lower()))
     return tokens
 
 

@@ -1,5 +1,7 @@
+import random
 import re
 import sys
+import tracemalloc
 import unicodedata
 from types import SimpleNamespace
 
@@ -136,6 +138,55 @@ ascii_texts = st.lists(
 def test_ascii_tokenize_matches_reference_scanner(text):
     assert text.isascii()
     assert tokenize(text) == scanner_oracle.tokenize(text)
+
+
+# The chunk path: non-ASCII text is cut at whitespace, `,` and `.`, and a
+# letter-only chunk skips the word pattern. Apostrophes sit at chunk edges
+# and doubled, separators are glued to words, and one non-ASCII letter makes
+# sure the branch runs.
+CHUNK_PIECES = (
+    ["ʻ", "'", "’", "ʼ", "`", "ʻʻ", "'’", "ʻa", "aʻ", "oʻg", "Gʻ"]  # apostrophes at edges, doubled, inside
+    + [",", ".", "a,", ".b", "Σ.", ",ʻ", "ʻ."]  # the separators blanked before the cut
+    + [" ", "\n", "\xa0", "\u3000", "\x1c", "\u2028"]  # whitespace that str.split cuts at
+    + ["a", "bo", "ΑΣ", "ς", "İ", "é", "e\u0301", "½", "Ⅻ", "1", "١", "_", "-"]
+)
+chunk_pieces = st.lists(st.sampled_from(CHUNK_PIECES), max_size=20).map("".join)
+chunk_texts = st.tuples(chunk_pieces, st.sampled_from(["é", "ʻ", "Σ", "İ", "ş", "ж"]), chunk_pieces).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(chunk_texts)
+@example("ʻaʻb ʻ")
+@example("aʻʻb")
+@example("a,ʻb.")
+@example("ΑΣ.Β")
+@example("İ.")
+@example("a\u3000ʻb")
+@example("a½ʻb c")
+def test_chunk_tokenize_matches_reference_scanner(text):
+    assert not text.isascii()
+    assert tokenize(text) == scanner_oracle.tokenize(text)
+
+
+def test_non_ascii_tokenize_peak_memory_is_bounded_per_character():
+    # one Uzbek-Latin-like document of about 580 000 characters; the tokens
+    # and the chunks they are cut from are both held at the peak
+    rng = random.Random(23)
+    syllables = ["ba", "ki", "to", "sh", "ch", "ng", "oʻ", "gʻ", "o’", "g'", "ya", "qu", "lar", "ni", "da"]
+    words = ["".join(rng.choices(syllables, k=rng.randint(2, 6))) for _ in range(5000)]
+    words += ["Oʻzbek", "CAFÉ", "ikki-uch", "2023-yil", "«soʻz»"]
+    text = "".join(rng.choice(words) + rng.choice([" ", " ", " ", ", ", ". ", "\n"]) for _ in range(60_000))
+    tracemalloc.start()
+    try:
+        tokens = tokenize(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 60_000
+    # measured: about 20 bytes per character on Python 3.11, mostly one str
+    # per chunk and per token; a list with one entry per character of the
+    # text would add 8 more
+    assert peak / len(text) < 24
 
 
 class NormalizeCalled(Exception):
