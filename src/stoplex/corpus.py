@@ -3,20 +3,20 @@
 A token is a maximal run of Unicode letters. A single apostrophe is kept
 when it sits between two letters (the Uzbek oʻ/gʻ digraphs). The variants
 found in real texts (U+0027, U+2019, U+02BC, U+0060) are rewritten to
-U+02BB before matching, so they collapse to one code point and do not
-create spurious unique words. Text is NFC-normalized before scanning and
-tokens are lowercased afterwards. Digits, punctuation and symbols are
+U+02BB first, so they collapse to one code point and do not create
+spurious unique words. Text is NFC-normalized before splitting and tokens
+are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
-½, Ⅻ and ², even where a word pattern matches them together with letters.
-Non-ASCII text is cut into whitespace chunks once every apostrophe that
-cannot attach and every , and . are blanked; a chunk of letters alone is
-one word, and only the other chunks go through the word pattern. An ASCII
-text (Uzbek Latin is often typed so, with ' or ` for oʻ/gʻ) takes a
-shorter path that gives the same tokens with no pattern scan: one
-str.translate lowercases its letters and blanks every other character but
-the apostrophes, str.replace blanks each apostrophe that does not sit
-between two letters, and str.split cuts the words. ASCII needs no NFC, its
-letters lowercase one by one and its only numerics are the digits.
+½, Ⅻ and ². Non-ASCII text is cut into whitespace chunks once every
+apostrophe that cannot attach and every , and . are blanked; a chunk of
+letters alone is one word, and the other chunks are split into their
+letter runs. An ASCII text (Uzbek Latin is often typed so, with ' or `
+for oʻ/gʻ) takes a shorter path that gives the same tokens with no
+pattern scan: one str.translate lowercases its letters and blanks every
+other character but the apostrophes, str.replace blanks each apostrophe
+that does not sit between two letters, and str.split cuts the words.
+ASCII needs no NFC, its letters lowercase one by one and its only
+numerics are the digits.
 """
 
 from __future__ import annotations
@@ -37,18 +37,14 @@ CANONICAL_APOSTROPHE = "ʻ"
 #: Document orders collect_input_files accepts: as given, or re-sorted by file name.
 ORDER_MODES = ("list", "lexicographic")
 
-# The apostrophe variants tokenize rewrites to the canonical one before
-# matching, once per text, so the pattern only has to know U+02BB.
+# The apostrophe variants tokenize rewrites to the canonical one, once per
+# text, so the later steps only have to know U+02BB.
 _VARIANT_APOSTROPHES = "'’ʼ`"
-# [^\W\d_] is every letter plus the numerics that are not decimal digits
-# (categories No and Nl, such as ½); tokenize splits those back out with
-# str.isalpha, which holds for exactly the letter categories L*. U+02BB is a
-# letter (Lm), so the class leaves it out: a doubled apostrophe must not
-# hide inside a letter run. (U+02BC is a letter too, but never reaches the
-# pattern.)
-_WORD = re.compile(r"[^\W\d_ʻ]+(?:ʻ[^\W\d_ʻ]+)*")
-# A U+02BB that _WORD never attaches: one not followed by, or not preceded
-# by, a character of its class.
+# A U+02BB that cannot attach: one not followed by, or not preceded by, a
+# character of [^\W\d_ʻ]. [^\W\d_] is every letter plus the numerics that
+# are not decimal digits (categories No and Nl, such as ½); U+02BB is a
+# letter (Lm) and is left out, so a doubled apostrophe never survives. An
+# apostrophe next to ½ may survive here; tokenize's letter split strips it.
 _LOOSE_APOSTROPHE = re.compile(r"ʻ(?:(?![^\W\d_ʻ])|(?<![^\W\d_ʻ]ʻ))")
 # On ASCII text [^\W\d_ʻ] is exactly [A-Za-z]: the table lowercases those,
 # writes both ASCII apostrophes as ' and every other code point as a space.
@@ -73,14 +69,15 @@ def tokenize(text: str) -> list[str]:
       denormalize in rare cases).
 
     Non-ASCII text is NFC-normalized and its apostrophe variants rewritten,
-    then _LOOSE_APOSTROPHE blanks each U+02BB that _WORD would not attach,
-    str.replace blanks , and . (the separators most often glued to words)
-    and str.split cuts the chunks. None of those blanked characters is in
-    _WORD's class, nor is whitespace, so no word spans two chunks. A chunk
-    for which str.isalpha holds has only class characters and U+02BB, each
-    between two class characters, so it is one _WORD match whole and skips
-    the pattern; the other chunks are scanned with _WORD. Each token is
-    still lowercased on its own, so final sigma and İ come out as before.
+    then _LOOSE_APOSTROPHE blanks each U+02BB that is not between two
+    characters of [^\W\d_ʻ], str.replace blanks , and . (the separators
+    most often glued to words) and str.split cuts the chunks. A chunk for
+    which str.isalpha holds is one word: each U+02BB in it sits between two
+    letters. Any other chunk is split at its non-letters into its maximal
+    letter runs. A U+02BB that ends a run stood next to a numeric such as ½,
+    which the class holds but is no letter, so strip drops it; one inside a
+    run sits between two letters. Each token is still lowercased on its
+    own, so final sigma and İ come out as before.
 
     An ASCII text takes C-level string methods instead, which give the
     same tokens: it is already NFC, its only apostrophe variants are ' and
@@ -105,14 +102,9 @@ def tokenize(text: str) -> list[str]:
         if chunk.isalpha():
             tokens.append(unicodedata.normalize("NFC", chunk.lower()))
             continue
-        for word in _WORD.findall(chunk):
-            if word.isalpha():
+        for word in "".join(ch if ch.isalpha() else " " for ch in chunk).split():
+            if word := word.strip(CANONICAL_APOSTROPHE):
                 tokens.append(unicodedata.normalize("NFC", word.lower()))
-                continue
-            for part in "".join(ch if ch.isalpha() else " " for ch in word).split():
-                part = part.strip(CANONICAL_APOSTROPHE)
-                if part:
-                    tokens.append(unicodedata.normalize("NFC", part.lower()))
     return tokens
 
 

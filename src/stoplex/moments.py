@@ -39,6 +39,12 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
     return [m * (scale // d) for m, d in ratios], scale
 
 
+def _word_sum(lexicon: Lexicon, values: Sequence[float]) -> float:
+    """The exact sum over the lexicon's words of their profile's value in ``values``, rounded once."""
+    scaled, scale = _dyadic(values)
+    return sum(map(mul, scaled, map(len, lexicon.members))) / scale
+
+
 class _IndexDistributionFields(NamedTuple):
     lexicon: Lexicon
     values: tuple[float, ...]
@@ -64,8 +70,7 @@ class IndexDistribution(_IndexDistributionFields):
         for p in values:
             if not (math.isfinite(p) and p >= 0.0):
                 raise DomainError(f"probabilities must be finite and >= 0, got {p!r}")
-        scaled, scale = _dyadic(values)
-        total = sum(map(mul, scaled, map(len, lexicon.members))) / scale
+        total = _word_sum(lexicon, values)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
         return super().__new__(cls, lexicon, values)

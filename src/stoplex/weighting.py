@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from operator import mul
 from typing import Sequence
 
 from .corpus import Lexicon, _check_profile_column
 from .errors import AllZeroWeights, DomainError
-from .moments import _dyadic
+from .moments import _word_sum
 
 
 class AveragingMode(str, Enum):
@@ -74,8 +73,7 @@ def probabilities(lexicon: Lexicon, weight: Sequence[float]) -> tuple[float, ...
     method.
     """
     _check_profile_column(lexicon, weight, "weight")
-    scaled, scale = _dyadic(weight)
-    total = sum(map(mul, scaled, map(len, lexicon.members))) / scale
+    total = _word_sum(lexicon, weight)
     if total <= 0.0:
         raise AllZeroWeights("all weights are zero (every word occurs in every document)")
     return tuple(w / total for w in weight)

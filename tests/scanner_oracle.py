@@ -1,8 +1,8 @@
 """Reference tokenizer: the per-character scanner stoplex used to run.
 
 It tests every character with unicodedata.category, so the package now
-matches words with one compiled pattern instead; tests require the two
-to produce the same tokens.
+cuts words with str methods and one apostrophe pattern instead; tests
+require the two to produce the same tokens.
 """
 
 from __future__ import annotations

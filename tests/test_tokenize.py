@@ -93,7 +93,7 @@ def test_tokens_are_clean():
         assert token[-1] != CANONICAL_APOSTROPHE
 
 
-# --- the word pattern against the per-character scanner it replaced ---------
+# --- the tokenizer against the per-character scanner it replaced -----------
 
 # Text drawn mostly from pieces the rules treat specially, plus any character.
 PIECES = (
@@ -116,7 +116,7 @@ def test_tokenize_matches_reference_scanner(text):
 
 
 # The ASCII path: a text of code points below 128 goes through translate,
-# replace, strip and split, not the word pattern. The suite above rarely
+# replace, strip and split, not the chunk path. The suite above rarely
 # draws such a text.
 ASCII_PIECES = ["'", "`", "''", "`'", "O'", "g`", "_", "7", "\x00", "\t"]
 ascii_texts = st.lists(
@@ -140,15 +140,17 @@ def test_ascii_tokenize_matches_reference_scanner(text):
     assert tokenize(text) == scanner_oracle.tokenize(text)
 
 
-# The chunk path: non-ASCII text is cut at whitespace, `,` and `.`, and a
-# letter-only chunk skips the word pattern. Apostrophes sit at chunk edges
-# and doubled, separators are glued to words, and one non-ASCII letter makes
+# The chunk path: non-ASCII text is cut at whitespace, `,` and `.`, a
+# letter-only chunk is one word and any other chunk is split into its letter
+# runs. Apostrophes sit at chunk edges and doubled, and next to non-letter
+# numerics, separators are glued to words, and one non-ASCII letter makes
 # sure the branch runs.
 CHUNK_PIECES = (
     ["ʻ", "'", "’", "ʼ", "`", "ʻʻ", "'’", "ʻa", "aʻ", "oʻg", "Gʻ"]  # apostrophes at edges, doubled, inside
     + [",", ".", "a,", ".b", "Σ.", ",ʻ", "ʻ."]  # the separators blanked before the cut
     + [" ", "\n", "\xa0", "\u3000", "\x1c", "\u2028"]  # whitespace that str.split cuts at
     + ["a", "bo", "ΑΣ", "ς", "İ", "é", "e\u0301", "½", "Ⅻ", "1", "١", "_", "-"]
+    + ["ʻ½", "½ʻ", "²"]  # numerics an apostrophe survives next to until the letter split
 )
 chunk_pieces = st.lists(st.sampled_from(CHUNK_PIECES), max_size=20).map("".join)
 chunk_texts = st.tuples(chunk_pieces, st.sampled_from(["é", "ʻ", "Σ", "İ", "ş", "ж"]), chunk_pieces).map("".join)
@@ -163,6 +165,9 @@ chunk_texts = st.tuples(chunk_pieces, st.sampled_from(["é", "ʻ", "Σ", "İ", "
 @example("İ.")
 @example("a\u3000ʻb")
 @example("a½ʻb c")
+@example("aʻ½ʻb é")
+@example("½ʻ½ é")
+@example("Ⅻʻaʻ² a²ʻʻb é")
 def test_chunk_tokenize_matches_reference_scanner(text):
     assert not text.isascii()
     assert tokenize(text) == scanner_oracle.tokenize(text)
@@ -211,7 +216,9 @@ def test_nfc_can_make_an_apostrophe_out_of_non_ascii_text():
 
 
 def test_tokenize_matches_reference_scanner_around_every_non_letter_numeric():
-    # the numerics [^\W\d_] matches although they are not letters (No, Nl)
+    # the numerics [^\W\d_] holds although they are not letters (No, Nl):
+    # an apostrophe next to one survives _LOOSE_APOSTROPHE, and the letter
+    # split must still drop it
     every_char = "".join(map(chr, range(sys.maxunicode + 1)))
     numerics = [ch for ch in re.findall(r"[^\W\d_]", every_char) if not ch.isalpha()]
     assert len(numerics) > 1000
@@ -221,7 +228,8 @@ def test_tokenize_matches_reference_scanner_around_every_non_letter_numeric():
 
 
 def test_isalpha_is_exactly_the_letter_categories():
-    # tokenize relies on str.isalpha to split numerics out of a match
+    # tokenize relies on str.isalpha to pass a letter-only chunk whole and
+    # to split any other chunk into its letter runs
     mismatches = [
         hex(cp)
         for cp in range(sys.maxunicode + 1)

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from array import array
-from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -18,7 +17,7 @@ from stoplex import (
     load_corpus,
     probabilities,
 )
-from stoplex.moments import _dyadic
+from stoplex.moments import _word_sum
 
 from conftest import per_word, word_rows
 
@@ -167,7 +166,6 @@ def test_probability_total_is_fsum_over_every_word(weights, seed):
         doc_count=2,
     )
     # the total as probabilities computes it, bit for bit
-    scaled, scale = _dyadic(weights)
-    exact = sum(map(mul, scaled, map(len, lexicon.members))) / scale
+    exact = _word_sum(lexicon, weights)
     assert exact.hex() == total.hex()
     assert probabilities(lexicon, tuple(weights)) == tuple(w / total for w in weights)
