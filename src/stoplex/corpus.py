@@ -52,6 +52,9 @@ _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 _ASCII_FOLD = {code: " " for code in range(128)} | str.maketrans(
     _ASCII_LOWER + _ASCII_LOWER.upper() + "'`", _ASCII_LOWER * 2 + "''"
 )
+# The least length of a block that load_corpus tokenizes at once. Blocks of
+# 4 to 64 KiB held about the same peak; smaller ones cost more calls.
+_BLOCK_CHARS = 16_384
 
 
 def tokenize(text: str) -> list[str]:
@@ -206,28 +209,53 @@ def _index_lists(ids: array, n: int) -> tuple[array, ...]:
 def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     """Build a corpus from ordered (name, text) pairs.
 
-    Each document is counted as it is tokenized, and each of its words adds
-    one document and its count to the word's (doc frequency, total count)
-    pair. The words of one document that reach the same pair share one
-    tuple, through a lookup that lives for that document only. So the corpus
-    keeps one string and one pair per distinct token, and its memory does
-    not grow with the (word, document) pairs. Bytes decode as UTF-8; a bad
+    Each document is counted block by block (see _count_tokens), and each of
+    its words adds one document and its count to the word's (doc frequency,
+    total count) pair. The words of one document that reach the same pair
+    share one tuple, through a lookup that lives for that document only. So
+    the corpus keeps one string and one pair per distinct token, and its
+    memory does not grow with the (word, document) pairs. A document's
+    bytes, text and counts are released before the next source is read, and
+    its tokens are never all held at once. Bytes decode as UTF-8; a bad
     source raises DecodeError naming it. Zero sources raise EmptyCorpus.
     """
     counts_of: dict[str, tuple[int, int]] = {}
     doc_count = token_total = 0
     for name, blob in sources:
-        tokens = tokenize(_decode(name, blob) if isinstance(blob, bytes) else blob)
+        counts = _count_tokens(_decode(name, blob) if isinstance(blob, bytes) else blob)
         shared: dict[tuple[int, int], tuple[int, int]] = {}
-        for token, count in Counter(tokens).items():
+        for token, count in counts.items():
             doc_frequency, total = counts_of.get(token, (0, 0))
             pair = (doc_frequency + 1, total + count)
             counts_of[token] = shared.setdefault(pair, pair)
         doc_count += 1
-        token_total += len(tokens)
+        token_total += counts.total()
+        del blob, counts  # the loop would hold them while the next source is read
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
     return Corpus(counts_of, doc_count, token_total)
+
+
+def _count_tokens(text: str) -> Counter[str]:
+    """Counter(tokenize(text)), in the same order, from blocks of ``text`` cut at U+0020.
+
+    Each block runs from one space to the first space at least _BLOCK_CHARS
+    characters later, so only one block's tokens are held at once. The cut
+    changes no token: U+0020 is a starter that no canonical composition or
+    reordering crosses, it is neither a letter nor an apostrophe, an
+    apostrophe rule looks at most one character across it, and the ASCII
+    and non-ASCII paths that each block picks for itself give the same
+    tokens.
+    """
+    counts: Counter[str] = Counter()
+    start = 0
+    while start < len(text):
+        end = text.find(" ", start + _BLOCK_CHARS)
+        if end < 0:
+            end = len(text)
+        counts.update(tokenize(text[start:end]))
+        start = end
+    return counts
 
 
 def _decode(name: str, blob: bytes) -> str:
@@ -266,8 +294,9 @@ def collect_input_files(inputs: Sequence[str | Path], order: str = "list") -> li
 def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
     """Read files as UTF-8 documents; the document name is the file stem.
 
-    Files are read one at a time as they are counted, so only one file's
-    text is held at once.
+    Files are read one at a time, and each file's bytes and text are
+    released once it is counted, before the next file is read (see
+    load_corpus).
     """
     return load_corpus((Path(p).stem, Path(p).read_bytes()) for p in paths)
 

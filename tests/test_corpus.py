@@ -2,10 +2,13 @@ import random
 import sys
 import tracemalloc
 from array import array
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dense_oracle
+import stoplex.corpus
 from stoplex import (
     DecodeError,
     DomainError,
@@ -20,6 +23,7 @@ from stoplex import (
 )
 
 from conftest import TOY_SOURCES, six_profile_documents
+from test_tokenize import CHUNK_PIECES
 
 
 def _dense_counts(texts) -> dict[str, tuple[int, int]]:
@@ -59,6 +63,32 @@ def test_bytes_sources_decode():
     assert corpus.counts_of == {"olma": (1, 1), "nok": (2, 2), "soʻz": (1, 1)}
     assert corpus.counts_of == _dense_counts([("d1", "olma nok"), ("d2", "nok soʻz")])
     assert (corpus.doc_count, corpus.token_total) == (2, 4)
+
+
+# the tokenizer's chunk pieces plus the characters a cut at U+0020 could
+# separate from their neighbours: other spaces, a combining mark, U+1FEF
+# (NFC turns it into `) and İ (it lowercases to two code points)
+block_texts = st.lists(
+    st.sampled_from(CHUNK_PIECES + [" ", "\xa0", "\u3000", "\n", "\t", "\u0301", "\u1fef", "İ"]), max_size=30
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(block_texts, st.integers(1, 8))
+@example("a 'b", 1)  # an apostrophe after the cut
+@example("a' b", 1)  # and before it
+@example("ʻa ʻ", 1)
+@example("a \u0301b", 1)  # a combining mark after the cut
+@example("x \u1fefb", 1)
+@example("é it's é", 1)  # an ASCII block inside a non-ASCII document
+@example("a\u00a0b\tc", 1)  # no U+0020: one block
+def test_block_counts_match_counting_the_whole_text(text, block_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
+        counts = stoplex.corpus._count_tokens(text)
+    whole = Counter(tokenize(text))
+    assert list(counts.items()) == list(whole.items())
+    assert counts.total() == whole.total()
 
 
 def test_postings_keep_first_appearance_order_and_document_order():

@@ -141,30 +141,60 @@ def test_pipeline_all_zero_weights(tmp_path):
     assert gc.isenabled()  # a failed run leaves the cyclic collector as it found it
 
 
-def test_pipeline_peak_memory_grows_with_the_largest_document_and_the_words(tmp_path):
-    # one stream of 200 000 tokens over 20 000 words, cut into 4 to 4 000 documents
+def _token_stream() -> list[str]:
+    """One stream of 200 000 tokens over 20 000 words, the same on every call."""
     rng = random.Random(1)
     words = [letter_code(j) for j in range(20_000)]
-    stream = [words[rng.randrange(len(words))] for _ in range(200_000)]
+    return [words[rng.randrange(len(words))] for _ in range(200_000)]
+
+
+def _write_documents(docs: Path, stream: list[str], n_docs: int) -> int:
+    """Write ``stream`` cut into ``n_docs`` equal documents under ``docs``; return its tokens per document."""
+    docs.mkdir()
+    tokens = len(stream) // n_docs
+    for d in range(n_docs):
+        (docs / f"d{d:04d}.txt").write_text(" ".join(stream[d * tokens:(d + 1) * tokens]), encoding="utf-8")
+    return tokens
+
+
+def _traced_pipeline(docs: Path, out_dir: Path):
+    """run_pipeline's report on the documents in ``docs`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        report = run_pipeline(RunConfig(inputs=(str(docs),), output_dir=out_dir))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def test_pipeline_peak_memory_grows_with_the_largest_document_and_the_words(tmp_path):
+    # one stream of 200 000 tokens over 20 000 words, cut into 4 to 4 000 documents
+    stream = _token_stream()
     sizes = set()
     for n_docs in (4, 40, 400, 4000):
-        docs = tmp_path / f"docs{n_docs}"
-        docs.mkdir()
-        tokens = len(stream) // n_docs  # in each document
-        for d in range(n_docs):
-            (docs / f"d{d:04d}.txt").write_text(" ".join(stream[d * tokens:(d + 1) * tokens]), encoding="utf-8")
-        tracemalloc.start()
-        try:
-            report = run_pipeline(RunConfig(inputs=(str(docs),), output_dir=tmp_path / f"out{n_docs}"))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        tokens = _write_documents(tmp_path / f"docs{n_docs}", stream, n_docs)  # in each document
+        report, peak = _traced_pipeline(tmp_path / f"docs{n_docs}", tmp_path / f"out{n_docs}")
         sizes.add((report.token_total, report.unique_words))
-        # measured on Python 3.11: 8.0, 2.4, 2.6 and 3.9 MB, 97 to 192 bytes per
+        # measured on Python 3.11: 3.48, 2.41, 2.55 and 3.86 MB, 50 to 193 bytes per
         # (tokens + N); one byte per (word, document) would add 8 MB at 400
         # documents, and holding every token of the corpus about 12 MB
         assert peak <= 200 * (tokens + report.unique_words) + 1000 * n_docs, n_docs
     assert sizes == {(len(stream), len(set(stream)))}
+
+
+def test_pipeline_peak_memory_does_not_grow_with_the_largest_documents_tokens(tmp_path):
+    # the same stream cut into 2 documents of 100 000 tokens (about 409 000
+    # characters each): a document is counted block by block, so its bytes and
+    # text are held at the peak, but never all of its tokens at once
+    stream = _token_stream()
+    _write_documents(tmp_path / "docs", stream, 2)
+    chars = max(len(path.read_text(encoding="utf-8")) for path in (tmp_path / "docs").iterdir())
+    report, peak = _traced_pipeline(tmp_path / "docs", tmp_path / "out")
+    assert (report.token_total, report.unique_words) == (len(stream), len(set(stream)))
+    # measured on Python 3.11: 3.98 MB against a bound of 5.2 MB; holding a
+    # document's whole token list, as the corpus once did, peaked at 13.25 MB
+    assert peak <= 200 * report.unique_words + 3 * chars
 
 
 def test_config_validation(tmp_path):
