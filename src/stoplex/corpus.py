@@ -58,7 +58,7 @@ _BLOCK_CHARS = 16_384
 
 
 def tokenize(text: str) -> list[str]:
-    """Split raw text into normalized word tokens, order preserved.
+    r"""Split raw text into normalized word tokens, order preserved.
 
     Rules:
     - The input is NFC-normalized first.
@@ -237,24 +237,21 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
 
 
 def _count_tokens(text: str) -> Counter[str]:
-    """Counter(tokenize(text)), in the same order, from blocks of ``text`` cut at U+0020.
+    """Counter(tokenize(text)), in the same order, from blocks of ``text`` cut before whitespace.
 
-    Each block runs from one space to the first space at least _BLOCK_CHARS
-    characters later, so only one block's tokens are held at once. The cut
-    changes no token: U+0020 is a starter that no canonical composition or
-    reordering crosses, it is neither a letter nor an apostrophe, an
-    apostrophe rule looks at most one character across it, and the ASCII
-    and non-ASCII paths that each block picks for itself give the same
-    tokens.
+    Each block takes _BLOCK_CHARS characters, or the rest of the text, and
+    runs on to the next str.isspace character, the set at which str.split
+    and the pattern's non-space run both stop, so only one block's tokens
+    are held at once. The cut changes no token. Each str.isspace character
+    is a starter that no canonical composition or reordering crosses, and
+    NFC keeps it whitespace (U+2000 and U+2001 become U+2002
+    and U+2003). None is a letter or an apostrophe, an apostrophe rule
+    looks at most one character across it, and the ASCII and non-ASCII
+    paths that each block picks for itself give the same tokens.
     """
     counts: Counter[str] = Counter()
-    start = 0
-    while start < len(text):
-        end = text.find(" ", start + _BLOCK_CHARS)
-        if end < 0:
-            end = len(text)
-        counts.update(tokenize(text[start:end]))
-        start = end
+    for block in re.finditer(r".{1,%d}\S*" % _BLOCK_CHARS, text, re.DOTALL):
+        counts.update(tokenize(block[0]))
     return counts
 
 

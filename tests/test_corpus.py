@@ -65,11 +65,14 @@ def test_bytes_sources_decode():
     assert (corpus.doc_count, corpus.token_total) == (2, 4)
 
 
-# the tokenizer's chunk pieces plus the characters a cut at U+0020 could
-# separate from their neighbours: other spaces, a combining mark, U+1FEF
-# (NFC turns it into `) and İ (it lowercases to two code points)
+# the tokenizer's chunk pieces plus the characters a cut before whitespace
+# could separate from their neighbours: whitespace of each kind (ASCII
+# controls, U+0085, U+2000, which NFC turns into U+2002, and the separators),
+# a combining mark, U+1FEF (NFC turns it into `) and İ (it lowercases to two
+# code points)
+BLOCK_SPACES = [" ", "\xa0", "\u3000", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2000", "\u2028"]
 block_texts = st.lists(
-    st.sampled_from(CHUNK_PIECES + [" ", "\xa0", "\u3000", "\n", "\t", "\u0301", "\u1fef", "İ"]), max_size=30
+    st.sampled_from(CHUNK_PIECES + BLOCK_SPACES + ["\u0301", "\u1fef", "İ"]), max_size=30
 ).map("".join)
 
 
@@ -81,7 +84,10 @@ block_texts = st.lists(
 @example("a \u0301b", 1)  # a combining mark after the cut
 @example("x \u1fefb", 1)
 @example("é it's é", 1)  # an ASCII block inside a non-ASCII document
-@example("a\u00a0b\tc", 1)  # no U+0020: one block
+@example("a\u00a0b\tc", 1)  # cuts at U+00A0 and at a tab
+@example("a\nʻb", 1)  # an apostrophe after a cut at a newline
+@example("aʻ\x85b", 1)  # and before a cut at U+0085
+@example("e\u2000\u0301b", 1)  # a combining mark after U+2000, which NFC makes U+2002
 def test_block_counts_match_counting_the_whole_text(text, block_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)

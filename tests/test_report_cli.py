@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -148,12 +149,12 @@ def _token_stream() -> list[str]:
     return [words[rng.randrange(len(words))] for _ in range(200_000)]
 
 
-def _write_documents(docs: Path, stream: list[str], n_docs: int) -> int:
-    """Write ``stream`` cut into ``n_docs`` equal documents under ``docs``; return its tokens per document."""
+def _write_documents(docs: Path, stream: list[str], n_docs: int, sep: str = " ") -> int:
+    """Write ``stream`` as ``n_docs`` equal ``sep``-joined documents in ``docs``; return the tokens in each."""
     docs.mkdir()
     tokens = len(stream) // n_docs
     for d in range(n_docs):
-        (docs / f"d{d:04d}.txt").write_text(" ".join(stream[d * tokens:(d + 1) * tokens]), encoding="utf-8")
+        (docs / f"d{d:04d}.txt").write_text(sep.join(stream[d * tokens:(d + 1) * tokens]), encoding="utf-8")
     return tokens
 
 
@@ -186,15 +187,30 @@ def test_pipeline_peak_memory_grows_with_the_largest_document_and_the_words(tmp_
 def test_pipeline_peak_memory_does_not_grow_with_the_largest_documents_tokens(tmp_path):
     # the same stream cut into 2 documents of 100 000 tokens (about 409 000
     # characters each): a document is counted block by block, so its bytes and
-    # text are held at the peak, but never all of its tokens at once
+    # text are held at the peak, but never all of its tokens at once; the
+    # blocks are cut at any whitespace, so one word per line counts the same
     stream = _token_stream()
-    _write_documents(tmp_path / "docs", stream, 2)
-    chars = max(len(path.read_text(encoding="utf-8")) for path in (tmp_path / "docs").iterdir())
-    report, peak = _traced_pipeline(tmp_path / "docs", tmp_path / "out")
-    assert (report.token_total, report.unique_words) == (len(stream), len(set(stream)))
-    # measured on Python 3.11: 3.98 MB against a bound of 5.2 MB; holding a
-    # document's whole token list, as the corpus once did, peaked at 13.25 MB
-    assert peak <= 200 * report.unique_words + 3 * chars
+    for name, sep in (("spaces", " "), ("lines", "\n")):
+        _write_documents(tmp_path / name, stream, 2, sep)
+        chars = max(len(path.read_text(encoding="utf-8")) for path in (tmp_path / name).iterdir())
+        report, peak = _traced_pipeline(tmp_path / name, tmp_path / f"out-{name}")
+        assert (report.token_total, report.unique_words) == (len(stream), len(set(stream)))
+        # measured on Python 3.11: 3.98 MB with either separator against a bound
+        # of 5.2 MB; holding a document's whole token list, as the corpus once
+        # did, peaked at 13.25 MB, and cutting blocks only at U+0020 at 8.9 MB
+        # on the one-word-per-line documents
+        assert peak <= 200 * report.unique_words + 3 * chars, name
+
+
+def test_every_module_compiles_from_source_without_a_warning():
+    # as an import without cached bytecode does: under -W error a warning
+    # at compile time, such as an invalid escape sequence, fails the import
+    sources = sorted(Path(stoplex.corpus.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path in sources:
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
 
 
 def test_config_validation(tmp_path):
