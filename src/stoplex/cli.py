@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .corpus import ORDER_MODES, _decode, tokenize
+from .corpus import ORDER_MODES, _blocks, _decode, tokenize
 from .errors import (
     AllZeroWeights,
     DecodeError,
@@ -108,8 +108,9 @@ def _print_summary(report: AnalysisReport) -> None:
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    for token in tokenize(_decode(path.stem, path.read_bytes())):
-        print(token)
+    for block in _blocks(_decode(path.stem, path.read_bytes())):
+        for token in tokenize(block):
+            print(token)
     return 0
 
 

@@ -52,8 +52,9 @@ _ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
 _ASCII_FOLD = {code: " " for code in range(128)} | str.maketrans(
     _ASCII_LOWER + _ASCII_LOWER.upper() + "'`", _ASCII_LOWER * 2 + "''"
 )
-# The least length of a block that load_corpus tokenizes at once. Blocks of
-# 4 to 64 KiB held about the same peak; smaller ones cost more calls.
+# The least length of a block that load_corpus and `stoplex tokenize`
+# tokenize at once. Blocks of 4 to 64 KiB held about the same peak; smaller
+# ones cost more calls.
 _BLOCK_CHARS = 16_384
 
 
@@ -237,22 +238,28 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
 
 
 def _count_tokens(text: str) -> Counter[str]:
-    """Counter(tokenize(text)), in the same order, from blocks of ``text`` cut before whitespace.
+    """Counter(tokenize(text)), in the same order, counted block by block (see _blocks)."""
+    counts: Counter[str] = Counter()
+    for block in _blocks(text):
+        counts.update(tokenize(block))
+    return counts
+
+
+def _blocks(text: str) -> Iterator[str]:
+    """``text`` in order, as blocks cut before whitespace whose tokens are those of ``text``.
 
     Each block takes _BLOCK_CHARS characters, or the rest of the text, and
     runs on to the next str.isspace character, the set at which str.split
-    and the pattern's non-space run both stop, so only one block's tokens
-    are held at once. The cut changes no token. Each str.isspace character
+    and the pattern's non-space run both stop, so a caller holds one block's
+    tokens at once. The cut changes no token. Each str.isspace character
     is a starter that no canonical composition or reordering crosses, and
     NFC keeps it whitespace (U+2000 and U+2001 become U+2002
     and U+2003). None is a letter or an apostrophe, an apostrophe rule
     looks at most one character across it, and the ASCII and non-ASCII
     paths that each block picks for itself give the same tokens.
     """
-    counts: Counter[str] = Counter()
     for block in re.finditer(r".{1,%d}\S*" % _BLOCK_CHARS, text, re.DOTALL):
-        counts.update(tokenize(block[0]))
-    return counts
+        yield block[0]
 
 
 def _decode(name: str, blob: bytes) -> str:

@@ -205,9 +205,13 @@ def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[i
     return math.fsum(first_indices) / len(first_indices)
 
 
-# rows per words.csv chunk (~80 bytes each on Uzbek text): a run holds one
-# batch of rows, never the whole file, whose size grows with N
-_WORDS_CSV_BATCH = 4096
+# rows per words.csv chunk: a run holds one batch of rows, never the whole
+# file, whose size grows with N. A batch costs about 0.4 KB per row (the row
+# strs, their join and its UTF-8 copy, where some surfaces are not ASCII),
+# so 1024 rows stay well below the transient of loading one document of
+# 100 000 characters (0.45 against 1 MB under tracemalloc); 4096 rows
+# raised the run's peak above the load stage's
+_WORDS_CSV_BATCH = 1024
 
 
 def _needs_quotes(text: str) -> bool:

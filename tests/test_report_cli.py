@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import stoplex.cli
 import stoplex.corpus
 import stoplex.report
 from stoplex import (
@@ -23,6 +24,7 @@ from stoplex import (
     StoplexError,
     run_pipeline,
     sample_mean_for,
+    tokenize,
 )
 from stoplex.cli import main
 
@@ -569,6 +571,21 @@ def test_cli_tokenize(tmp_path, capsys):
     source.write_text("O’zbek tili!", encoding="utf-8")
     assert main(["tokenize", str(source)]) == 0
     assert capsys.readouterr().out == "oʻzbek\ntili\n"
+
+
+def test_cli_tokenize_prints_the_tokens_block_by_block(tmp_path, capsys, monkeypatch):
+    # blocks of at least 8 characters, cut before a newline, a U+00A0 or a
+    # space, with apostrophes, a combining mark and an ASCII-only block
+    text = "O’zbek tili\nva\u00a0adabiyoti it's\u00a0e\u0301lon\ngʻoya, CAFÉ rock'n'roll\n\n"
+    source = tmp_path / "s.txt"
+    source.write_text(text, encoding="utf-8")
+    blocks = []
+    monkeypatch.setattr(stoplex.cli, "tokenize", lambda block: blocks.append(block) or tokenize(block))
+    monkeypatch.setattr(stoplex.corpus, "_BLOCK_CHARS", 8)
+    assert main(["tokenize", str(source)]) == 0
+    assert capsys.readouterr().out == "".join(token + "\n" for token in tokenize(text))
+    assert len(blocks) > 3
+    assert "".join(blocks) == text
 
 
 def test_cli_tokenize_bad_utf8_exit_2(tmp_path, capsys):

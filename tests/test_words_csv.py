@@ -1,6 +1,8 @@
 """The words.csv text against the csv.writer rendering it replaced, and its streaming."""
 
+import itertools
 import math
+import random
 import tracemalloc
 from array import array
 
@@ -12,7 +14,7 @@ import stoplex.report
 from stoplex import DomainError, Lexicon, RunConfig, run_pipeline, words_csv
 from stoplex.report import _words_csv_chunks
 
-from conftest import six_profile_documents, word_rows
+from conftest import letter_code, six_profile_documents, word_rows
 
 NUMBER_COLUMNS = ("weight", "probability")
 # row batch sizes small enough for the drawn lexicons to span several batches
@@ -136,6 +138,52 @@ def test_writing_words_csv_holds_a_small_fraction_of_the_file(tmp_path, monkeypa
     # measured on CPython 3.11: 0.16 of the 7.4 MB file; rendering the file
     # whole, as one str next to its row list and UTF-8 copy, took 2.8 times it
     assert peak <= 0.5 * size
+
+
+def test_writing_the_outputs_raises_the_peak_less_than_loading(tmp_path, monkeypatch):
+    # the shape of the benchmark's long-docs: 15 documents of 20 000 tokens
+    # (about 123 000 characters) drawn with Zipf weights from 50 000
+    # five-letter words, one in ten with an apostrophe, so that a tenth of
+    # the words.csv rows are not ASCII
+    rng = random.Random(1)
+    words = [letter_code(26**4 + j) for j in range(50_000)]
+    words = [word[:2] + "'" + word[2:] if j % 10 == 0 else word for j, word in enumerate(words)]
+    cum_weights = list(itertools.accumulate(1 / rank for rank in range(1, len(words) + 1)))
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for d in range(15):
+        text = " ".join(rng.choices(words, cum_weights=cum_weights, k=20_000))
+        assert len(text) >= 100_000
+        (in_dir / f"d{d:02d}.txt").write_text(text, encoding="utf-8")
+    stages = {}
+
+    def traced(name, stage):
+        """``stage``, recording what it keeps and its peak above its start, in bytes."""
+
+        def run(*args):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = stage(*args)
+            current, peak = tracemalloc.get_traced_memory()
+            stages[name] = (current - start, peak - start)
+            return result
+
+        return run
+
+    monkeypatch.setattr(stoplex.report, "load_corpus_from_paths", traced("load", stoplex.report.load_corpus_from_paths))
+    monkeypatch.setattr(stoplex.report, "_write_all", traced("write", stoplex.report._write_all))
+    tracemalloc.start()
+    try:
+        report = run_pipeline(RunConfig(inputs=(str(in_dir),), output_dir=tmp_path / "out"))
+    finally:
+        tracemalloc.stop()
+    assert report.unique_words >= 30_000
+    load_kept, load_peak = stages["load"]
+    _, write_peak = stages["write"]
+    # measured on CPython 3.11 (N 34 409): loading peaks 0.99 MB above what it
+    # keeps; writing the outputs peaks 0.45 MB above its start with batches of
+    # 1024 rows, and 1.62 MB with the 4096 rows words.csv was once written in
+    assert write_peak < load_peak - load_kept
 
 
 def test_quoting_is_decided_per_batch(monkeypatch):
