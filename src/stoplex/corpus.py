@@ -56,6 +56,9 @@ _ASCII_FOLD = {code: " " for code in range(128)} | str.maketrans(
 # tokenize at once. Blocks of 4 to 64 KiB held about the same peak; smaller
 # ones cost more calls.
 _BLOCK_CHARS = 16_384
+# load_corpus stores profile ids in 2 bytes (array "H") when its fold made at
+# most this many pair tuples, a bound on the profile count, else in 4 ("I").
+_SHORT_ID_LIMIT = 65_536
 
 
 def tokenize(text: str) -> list[str]:
@@ -113,17 +116,28 @@ def tokenize(text: str) -> list[str]:
 
 
 class Corpus(NamedTuple):
-    """Per-word counts of an ordered collection of documents.
+    """Per-word counts of an ordered collection of documents, by column.
 
-    ``counts_of`` maps each distinct token, in order of first appearance, to
-    its (doc frequency, total count) pair: how many documents hold it and how
-    often it occurs in all of them. Those two numbers are all that the
-    weighting reads of a word's counts.
+    ``surfaces`` holds each distinct token in order of first appearance and
+    ``profile_ids`` its count profile's id: the row of its (doc frequency,
+    total count) pair in ``doc_frequency`` and ``total_count``, numbered in
+    order of the profile's first word. Those two numbers are all that the
+    weighting reads of a word's counts. The first five fields are the
+    arguments of Lexicon, which shares them.
     """
 
-    counts_of: dict[str, tuple[int, int]]
+    surfaces: tuple[str, ...]
+    profile_ids: array  # array("H") or array("I"): one profile id per word
+    doc_frequency: tuple[int, ...]
+    total_count: tuple[int, ...]
     doc_count: int
     token_total: int
+
+    @property
+    def counts_of(self) -> dict[str, tuple[int, int]]:
+        """Each word's (doc frequency, total count), in first-appearance order, rebuilt on each call."""
+        profiles = list(zip(self.doc_frequency, self.total_count))
+        return dict(zip(self.surfaces, map(profiles.__getitem__, self.profile_ids)))
 
 
 class WordEntry(NamedTuple):
@@ -137,7 +151,7 @@ class WordEntry(NamedTuple):
 
 class _LexiconFields(NamedTuple):
     surfaces: tuple[str, ...]
-    profile_ids: array  # array("I"): one profile id per word
+    profile_ids: array  # array("H") or array("I"): one profile id per word
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
     doc_count: int  # documents in the corpus the words were counted in
@@ -153,6 +167,10 @@ class Lexicon(_LexiconFields):
     per distinct profile, stored by column and indexed by profile id:
     ``doc_frequency`` and ``total_count``. apply_weights and probabilities
     return their columns by profile id, which the later stages take.
+
+    build_lexicon takes the first five fields from the Corpus. load_corpus
+    made those columns from its dict of pairs and dropped the dict before it
+    returned, so no lexicon is built while the dict exists.
 
     ``members[p]`` is an array("I") of the ascending first indices of
     profile p's words, the inverse of ``profile_ids``. It is the last field
@@ -212,16 +230,23 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
 
     Each document is counted block by block (see _count_tokens), and each of
     its words adds one document and its count to the word's (doc frequency,
-    total count) pair. The words of one document that reach the same pair
-    share one tuple, through a lookup that lives for that document only. So
-    the corpus keeps one string and one pair per distinct token, and its
-    memory does not grow with the (word, document) pairs. A document's
-    bytes, text and counts are released before the next source is read, and
-    its tokens are never all held at once. Bytes decode as UTF-8; a bad
-    source raises DecodeError naming it. Zero sources raise EmptyCorpus.
+    total count) pair in a dict of words. The words of one document that
+    reach the same pair share one tuple, through a lookup that lives for
+    that document only, so the dict holds one string and one pair per
+    distinct token, and its memory does not grow with the (word, document)
+    pairs. A document's bytes, text and counts are released before the next
+    source is read, and its tokens are never all held at once.
+
+    After the last document the distinct pairs are numbered in order of
+    their first word, and the dict becomes the Corpus columns: the surfaces,
+    one profile id per word and one row per pair. The dict is dropped before
+    load_corpus returns. Profile ids take 2 bytes each when the lookups made
+    at most _SHORT_ID_LIMIT pair tuples in all; every final pair is one of
+    them, so the ids fit. Bytes decode as UTF-8; a bad source raises
+    DecodeError naming it. Zero sources raise EmptyCorpus.
     """
     counts_of: dict[str, tuple[int, int]] = {}
-    doc_count = token_total = 0
+    doc_count = token_total = pair_tuples = 0
     for name, blob in sources:
         counts = _count_tokens(_decode(name, blob) if isinstance(blob, bytes) else blob)
         shared: dict[tuple[int, int], tuple[int, int]] = {}
@@ -231,10 +256,22 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
             counts_of[token] = shared.setdefault(pair, pair)
         doc_count += 1
         token_total += counts.total()
-        del blob, counts  # the loop would hold them while the next source is read
+        pair_tuples += len(shared)
+        del blob, counts, shared  # the loop would hold them while the next source is read
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
-    return Corpus(counts_of, doc_count, token_total)
+    ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
+    profile_ids = array("H" if pair_tuples <= _SHORT_ID_LIMIT else "I", map(ids.__getitem__, counts_of.values()))
+    surfaces = tuple(counts_of)
+    del counts_of
+    return Corpus(
+        surfaces,
+        profile_ids,
+        tuple(doc_frequency for doc_frequency, _ in ids),
+        tuple(total for _, total in ids),
+        doc_count,
+        token_total,
+    )
 
 
 def _count_tokens(text: str) -> Counter[str]:
@@ -308,16 +345,9 @@ def load_corpus_from_paths(paths: Sequence[str | Path]) -> Corpus:
 def build_lexicon(corpus: Corpus) -> Lexicon:
     """The corpus's words in first-appearance order over their count profiles.
 
-    ``counts_of`` is already in first-appearance order, so indices never
-    depend on scheduling. Profile ids number the distinct (doc frequency,
-    total count) pairs in order of their first word.
+    The lexicon shares the corpus's columns, which load_corpus built from
+    its dict of pairs before dropping it, and adds only ``members``. The
+    surfaces are already in first-appearance order, so indices never depend
+    on scheduling.
     """
-    ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
-    profile_ids = array("I", map(ids.__getitem__, corpus.counts_of.values()))
-    return Lexicon(
-        tuple(corpus.counts_of),
-        profile_ids,
-        tuple(doc_frequency for doc_frequency, _ in ids),
-        tuple(total for _, total in ids),
-        corpus.doc_count,
-    )
+    return Lexicon(*corpus[:5])

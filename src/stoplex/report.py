@@ -288,10 +288,8 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
         corpus = load_corpus_from_paths(files)
         if corpus.token_total == 0:
             raise EmptyCorpus("no document holds a word")
-    token_total = corpus.token_total
     with _stage("build_lexicon"):
         lexicon = build_lexicon(corpus)
-    del corpus  # later stages read only the lexicon; this frees the corpus's dict of pairs
     with _stage("weights"):
         weight = apply_weights(lexicon, config.averaging)
     with _stage("probabilities"):
@@ -313,7 +311,7 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     report = AnalysisReport(
         doc_count=lexicon.doc_count,
         unique_words=lexicon.size,
-        token_total=token_total,
+        token_total=corpus.token_total,
         moments=summary,
         stopwords=stopwords,
         coverage=coverage,

@@ -14,15 +14,17 @@ from stoplex import (
     DomainError,
     EmptyCorpus,
     Lexicon,
+    RunConfig,
     WordEntry,
     build_lexicon,
     collect_input_files,
     load_corpus,
     load_corpus_from_paths,
+    run_pipeline,
     tokenize,
 )
 
-from conftest import TOY_SOURCES, six_profile_documents
+from conftest import TOY_SOURCES, letter_code, six_profile_documents
 from test_tokenize import CHUNK_PIECES
 
 
@@ -155,20 +157,68 @@ def test_postings_memory_with_random_counts_is_below_two_words_per_pair():
     assert corpus.counts_of == _dense_counts(texts)
 
 
-def test_corpus_retains_its_surfaces_and_one_pair_per_word():
+def test_corpus_retains_its_surfaces_and_one_profile_id_per_word():
     n_words = 100_000
     texts = six_profile_documents(n_words)
+    load_corpus(six_profile_documents(10))  # fills the interpreter's one-off caches before tracing
     tracemalloc.start()
     try:
         corpus = load_corpus(texts)
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the surfaces and the dict that maps them are the floor; a list of counts
-    # per word, as the corpus once kept, would add ~92 bytes per word
-    floor = sum(map(sys.getsizeof, corpus.counts_of)) + sys.getsizeof(corpus.counts_of)
-    assert retained <= floor + 16 * n_words
-    assert (corpus.doc_count, len(corpus.counts_of)) == (4, n_words)
+    # the surfaces, one tuple slot and one profile id per word, and the
+    # headers of the record and its columns with the six profile rows; the
+    # array's growth room is at most 1/16 of its items. The dict of pairs,
+    # which load_corpus drops before it returns, would add ~33 bytes per word
+    ids = corpus.profile_ids
+    headers = sum(map(sys.getsizeof, (corpus, (), array(ids.typecode), corpus.doc_frequency, corpus.total_count)))
+    floor = sum(map(sys.getsizeof, corpus.surfaces)) + (8 + ids.itemsize) * n_words + headers
+    assert retained <= floor + ids.itemsize * n_words // 16
+    assert (ids.typecode, corpus.doc_count, len(corpus.surfaces), len(corpus.total_count)) == ("H", 4, n_words, 6)
+
+
+def test_build_lexicon_does_not_raise_the_peak_of_load_corpus():
+    # 40 000 words over 400 short documents, each also repeating earlier
+    # words: build_lexicon adds only members to the corpus's columns, while
+    # load_corpus held its dict of pairs next to them
+    n_words, n_docs = 40_000, 400
+    rng = random.Random(28)
+    words = [letter_code(j) for j in range(n_words)]
+    per_doc = n_words // n_docs
+    texts = [
+        (f"d{d}", " ".join(words[d * per_doc:(d + 1) * per_doc] + rng.choices(words[:(d + 1) * per_doc], k=50)))
+        for d in range(n_docs)
+    ]
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        _, load_peak = tracemalloc.get_traced_memory()
+        lexicon = build_lexicon(corpus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= load_peak
+    assert lexicon.size == n_words
+
+
+@pytest.mark.parametrize("texts", [TOY_SOURCES, six_profile_documents(300)], ids=["toy", "six-profiles"])
+def test_four_byte_profile_ids_give_the_same_lexicon_and_outputs(monkeypatch, tmp_path, texts):
+    for name, text in texts:
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    inputs = sorted(map(str, tmp_path.glob("*.txt")))
+    short = load_corpus(texts)
+    run_pipeline(RunConfig(inputs, fraction="0.4", output_dir=tmp_path / "short", plots=True))
+    monkeypatch.setattr(stoplex.corpus, "_SHORT_ID_LIMIT", 0)  # no pair tuple fits: 4-byte ids
+    wide = load_corpus(texts)
+    run_pipeline(RunConfig(inputs, fraction="0.4", output_dir=tmp_path / "wide", plots=True))
+    assert (short.profile_ids.typecode, wide.profile_ids.typecode) == ("H", "I")
+    assert build_lexicon(wide) == build_lexicon(short)
+    assert wide.counts_of == short.counts_of
+    outputs = sorted(path.name for path in (tmp_path / "short").iterdir())
+    assert len(outputs) == 5
+    for name in outputs:
+        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "short" / name).read_bytes()
 
 
 def test_toy_lexicon_entries(toy_lexicon):
