@@ -11,12 +11,16 @@ separators, never tokens; so are numerics that are not letters, such as
 apostrophe that cannot attach and every , and . are blanked; a chunk of
 letters alone is one word, and the other chunks are split into their
 letter runs. An ASCII text (Uzbek Latin is often typed so, with ' or `
-for oʻ/gʻ) takes a shorter path that gives the same tokens with no
-pattern scan: one str.translate lowercases its letters and blanks every
-other character but the apostrophes, str.replace blanks each apostrophe
-that does not sit between two letters, and str.split cuts the words.
-ASCII needs no NFC, its letters lowercase one by one and its only
-numerics are the digits.
+for oʻ/gʻ) takes a shorter path, on its UTF-8 bytes, that gives the same
+tokens with no pattern scan: one bytes.translate lowercases its letters
+and blanks every other byte but the apostrophes, bytes.replace blanks
+each apostrophe that does not sit between two letters, and split cuts
+the words. ASCII needs no NFC, its letters lowercase one by one and its
+only numerics are the digits.
+
+load_corpus keys every word by its UTF-8 bytes, which take one byte per
+ASCII character where a str of a word with U+02BB takes two per
+character. An ASCII document is counted on its bytes and never decoded.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ _VARIANT_APOSTROPHES = "'’ʼ`"
 # apostrophe next to ½ may survive here; tokenize's letter split strips it.
 _LOOSE_APOSTROPHE = re.compile(r"ʻ(?:(?![^\W\d_ʻ])|(?<![^\W\d_ʻ]ʻ))")
 # On ASCII text [^\W\d_ʻ] is exactly [A-Za-z]: the table lowercases those,
-# writes both ASCII apostrophes as ' and every other code point as a space.
-_ASCII_LOWER = "abcdefghijklmnopqrstuvwxyz"
-_ASCII_FOLD = {code: " " for code in range(128)} | str.maketrans(
-    _ASCII_LOWER + _ASCII_LOWER.upper() + "'`", _ASCII_LOWER * 2 + "''"
-)
+# writes both ASCII apostrophes as ' and every other byte as a space.
+_ASCII_LOWER = b"abcdefghijklmnopqrstuvwxyz"
+_ASCII_KEPT = dict(zip(_ASCII_LOWER + _ASCII_LOWER.upper() + b"'`", _ASCII_LOWER * 2 + b"''"))
+_ASCII_FOLD = bytes(_ASCII_KEPT.get(code, ord(" ")) for code in range(256))
+_CANONICAL_UTF8 = CANONICAL_APOSTROPHE.encode()
 # The least length of a block that load_corpus and `stoplex tokenize`
 # tokenize at once. Blocks of 4 to 64 KiB held about the same peak; smaller
 # ones cost more calls.
@@ -61,7 +65,7 @@ _BLOCK_CHARS = 16_384
 _SHORT_ID_LIMIT = 65_536
 
 
-def tokenize(text: str) -> list[str]:
+def tokenize(text: str | bytes) -> list[str] | list[bytes]:
     r"""Split raw text into normalized word tokens, order preserved.
 
     Rules:
@@ -75,6 +79,11 @@ def tokenize(text: str) -> list[str]:
     - Tokens are lowercased (and re-normalized, since lowercasing can
       denormalize in rare cases).
 
+    A str gives str tokens. ASCII bytes give the same tokens as their
+    UTF-8 bytes (U+02BB as b"\xca\xbb"); that is how load_corpus counts an
+    ASCII document without decoding it. Bytes that are not ASCII raise
+    DomainError.
+
     Non-ASCII text is NFC-normalized and its apostrophe variants rewritten,
     then _LOOSE_APOSTROPHE blanks each U+02BB that is not between two
     characters of [^\W\d_ʻ], str.replace blanks , and . (the separators
@@ -86,20 +95,21 @@ def tokenize(text: str) -> list[str]:
     run sits between two letters. Each token is still lowercased on its
     own, so final sigma and İ come out as before.
 
-    An ASCII text takes C-level string methods instead, which give the
+    An ASCII text takes _fold_ascii on its bytes instead, which gives the
     same tokens: it is already NFC, its only apostrophe variants are ' and
-    `, and ASCII lowercasing maps each letter alone. After _ASCII_FOLD the
-    text holds only a-z, ' and spaces. Blanking doubled apostrophes, then
-    those next to a space, then stripping the ends leaves each remaining
-    apostrophe between two letters, so the space-separated chunks are the
-    words. Only the raw text decides the path, since NFC can turn a
-    non-ASCII character into one of those apostrophes (U+1FEF into `).
+    `, and ASCII lowercasing maps each letter alone. An ASCII str is
+    encoded for it and its words decoded back, so bytes and str share the
+    one ASCII path. Only the raw text decides the path, since NFC can turn
+    a non-ASCII character into one of those apostrophes (U+1FEF into `).
 
     Any input yields a (possibly empty) token list.
     """
+    if isinstance(text, bytes):
+        if not text.isascii():
+            raise DomainError("tokenize takes bytes only when they are ASCII")
+        return _fold_ascii(text).split()
     if text.isascii():
-        text = text.translate(_ASCII_FOLD).replace("''", "  ").replace(" '", "  ").replace("' ", "  ")
-        return text.strip("'").replace("'", CANONICAL_APOSTROPHE).split()
+        return _fold_ascii(text.encode()).decode().split()
     text = unicodedata.normalize("NFC", text)
     for apostrophe in _VARIANT_APOSTROPHES:
         text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
@@ -115,18 +125,30 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _fold_ascii(text: bytes) -> bytes:
+    """The words of ASCII ``text`` as UTF-8, separated by spaces: what tokenize splits.
+
+    After _ASCII_FOLD the text holds only a-z, ' and spaces. Blanking
+    doubled apostrophes, then those next to a space, then stripping the ends
+    leaves each remaining apostrophe between two letters, so the
+    space-separated chunks are the words; each apostrophe becomes U+02BB.
+    """
+    text = text.translate(_ASCII_FOLD).replace(b"''", b"  ").replace(b" '", b"  ").replace(b"' ", b"  ")
+    return text.strip(b"'").replace(b"'", _CANONICAL_UTF8)
+
+
 class Corpus(NamedTuple):
     """Per-word counts of an ordered collection of documents, by column.
 
-    ``surfaces`` holds each distinct token in order of first appearance and
-    ``profile_ids`` its count profile's id: the row of its (doc frequency,
-    total count) pair in ``doc_frequency`` and ``total_count``, numbered in
-    order of the profile's first word. Those two numbers are all that the
+    ``surfaces`` holds each distinct token, as its UTF-8 bytes, in order of
+    first appearance and ``profile_ids`` its count profile's id: the row of
+    its (doc frequency, total count) pair in ``doc_frequency`` and
+    ``total_count``, numbered in order of the profile's first word. Those two numbers are all that the
     weighting reads of a word's counts. The first five fields are the
     arguments of Lexicon, which shares them.
     """
 
-    surfaces: tuple[str, ...]
+    surfaces: tuple[bytes, ...]
     profile_ids: array  # array("H") or array("I"): one profile id per word
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
@@ -134,23 +156,23 @@ class Corpus(NamedTuple):
     token_total: int
 
     @property
-    def counts_of(self) -> dict[str, tuple[int, int]]:
-        """Each word's (doc frequency, total count), in first-appearance order, rebuilt on each call."""
+    def counts_of(self) -> dict[bytes, tuple[int, int]]:
+        """Each word's UTF-8 bytes and (doc frequency, total count), in first-appearance order, made on each call."""
         profiles = list(zip(self.doc_frequency, self.total_count))
         return dict(zip(self.surfaces, map(profiles.__getitem__, self.profile_ids)))
 
 
 class WordEntry(NamedTuple):
-    """A row view of one lexicon word: its surface and index plus its profile's counts."""
+    """A row view of one lexicon word: its surface (UTF-8 bytes) and index plus its profile's counts."""
 
-    surface: str
+    surface: bytes
     first_index: int  # 1-based rank by first appearance
     doc_frequency: int
     total_count: int
 
 
 class _LexiconFields(NamedTuple):
-    surfaces: tuple[str, ...]
+    surfaces: tuple[bytes, ...]  # each word's UTF-8 bytes
     profile_ids: array  # array("H") or array("I"): one profile id per word
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
@@ -163,9 +185,9 @@ class Lexicon(_LexiconFields):
 
     A word's count profile is its (doc_frequency, total_count) pair; most
     words share theirs with many others. Word k (first_index k + 1) is
-    ``surfaces[k]`` with profile ``profile_ids[k]``. The table has one row
-    per distinct profile, stored by column and indexed by profile id:
-    ``doc_frequency`` and ``total_count``. apply_weights and probabilities
+    ``surfaces[k]``, its UTF-8 bytes, with profile ``profile_ids[k]``. The
+    table has one row per distinct profile, stored by column and indexed by
+    profile id: ``doc_frequency`` and ``total_count``. apply_weights and probabilities
     return their columns by profile id, which the later stages take.
 
     build_lexicon takes the first five fields from the Corpus. load_corpus
@@ -176,7 +198,9 @@ class Lexicon(_LexiconFields):
     profile p's words, the inverse of ``profile_ids``. It is the last field
     and no argument: every construction builds it, _replace too. The stages
     after build_lexicon read a profile's words from it. Raises DomainError
-    when the columns differ in length or a profile id has no row.
+    when a surface is not bytes (a str, say), when the columns differ in
+    length or when a profile id has no row. The stages decode only the
+    surfaces they write out.
 
     ``entries`` is the one per-word row view, made for every word on each
     call; no stage reads it.
@@ -188,6 +212,8 @@ class Lexicon(_LexiconFields):
 
     def __new__(cls, surfaces, profile_ids, doc_frequency, total_count, doc_count):
         profiles = len(total_count)
+        if not {bytes}.issuperset(map(type, surfaces)):
+            raise DomainError("a lexicon's surfaces are the words' UTF-8 bytes, and one is not bytes")
         if len(surfaces) != len(profile_ids) or len(doc_frequency) != profiles:
             raise DomainError("a lexicon needs one profile id per surface and one total per doc frequency")
         try:
@@ -230,25 +256,30 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
 
     Each document is counted block by block (see _count_tokens), and each of
     its words adds one document and its count to the word's (doc frequency,
-    total count) pair in a dict of words. The words of one document that
-    reach the same pair share one tuple, through a lookup that lives for
-    that document only, so the dict holds one string and one pair per
-    distinct token, and its memory does not grow with the (word, document)
-    pairs. A document's bytes, text and counts are released before the next
-    source is read, and its tokens are never all held at once.
+    total count) pair in a dict keyed by the words' UTF-8 bytes. The words
+    of one document that reach the same pair share one tuple, through a
+    lookup that lives for that document only, so the dict holds one bytes
+    key and one pair per distinct token, and its memory does not grow with the (word, document)
+    pairs. ASCII bytes are counted as they are; other bytes are decoded once
+    and dropped. A document's bytes or text are released before its counts
+    are folded in, its counts before the next source is read, and its
+    tokens are never all held at once.
 
     After the last document the distinct pairs are numbered in order of
     their first word, and the dict becomes the Corpus columns: the surfaces,
     one profile id per word and one row per pair. The dict is dropped before
     load_corpus returns. Profile ids take 2 bytes each when the lookups made
     at most _SHORT_ID_LIMIT pair tuples in all; every final pair is one of
-    them, so the ids fit. Bytes decode as UTF-8; a bad source raises
+    them, so the ids fit. Bytes are read as UTF-8; a bad source raises
     DecodeError naming it. Zero sources raise EmptyCorpus.
     """
-    counts_of: dict[str, tuple[int, int]] = {}
+    counts_of: dict[bytes, tuple[int, int]] = {}
     doc_count = token_total = pair_tuples = 0
-    for name, blob in sources:
-        counts = _count_tokens(_decode(name, blob) if isinstance(blob, bytes) else blob)
+    for name, text in sources:
+        if isinstance(text, bytes) and not text.isascii():
+            text = _decode(name, text)
+        counts = _count_tokens(text)
+        del text  # released before its counts are folded in
         shared: dict[tuple[int, int], tuple[int, int]] = {}
         for token, count in counts.items():
             doc_frequency, total = counts_of.get(token, (0, 0))
@@ -257,7 +288,7 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
         doc_count += 1
         token_total += counts.total()
         pair_tuples += len(shared)
-        del blob, counts, shared  # the loop would hold them while the next source is read
+        del counts, shared  # the loop would hold them while the next source is read
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
     ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
@@ -274,28 +305,41 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
     )
 
 
-def _count_tokens(text: str) -> Counter[str]:
-    """Counter(tokenize(text)), in the same order, counted block by block (see _blocks)."""
-    counts: Counter[str] = Counter()
+def _count_tokens(text: str | bytes) -> Counter[bytes]:
+    """Counter(tokenize(text)) by the tokens' UTF-8 bytes, in the same order, counted block by block.
+
+    ``text`` is a str or ASCII bytes, cut by _blocks. tokenize gives an
+    ASCII bytes block's tokens as bytes; a str block's tokens are encoded
+    with one join, encode and split, as no token holds a newline.
+    """
+    counts: Counter[bytes] = Counter()
     for block in _blocks(text):
-        counts.update(tokenize(block))
+        tokens = tokenize(block)
+        if tokens and isinstance(block, str):
+            tokens = "\n".join(tokens).encode().split(b"\n")
+        counts.update(tokens)
     return counts
 
 
-def _blocks(text: str) -> Iterator[str]:
-    """``text`` in order, as blocks cut before whitespace whose tokens are those of ``text``.
+def _blocks(text: str | bytes) -> Iterator[str | bytes]:
+    r"""``text`` in order, as blocks cut before whitespace whose tokens are those of ``text``.
 
     Each block takes _BLOCK_CHARS characters, or the rest of the text, and
     runs on to the next str.isspace character, the set at which str.split
     and the pattern's non-space run both stop, so a caller holds one block's
-    tokens at once. The cut changes no token. Each str.isspace character
-    is a starter that no canonical composition or reordering crosses, and
-    NFC keeps it whitespace (U+2000 and U+2001 become U+2002
-    and U+2003). None is a letter or an apostrophe, an apostrophe rule
-    looks at most one character across it, and the ASCII and non-ASCII
-    paths that each block picks for itself give the same tokens.
+    tokens at once. ASCII bytes are cut at the same characters: their class
+    [\t-\r\x1c- ] is str.isspace on ASCII, where a bytes pattern's \s
+    would leave out U+001C to U+001F and let a block run on past them.
+
+    The cut changes no token. Each str.isspace character is a starter that
+    no canonical composition or reordering crosses, and NFC keeps it
+    whitespace (U+2000 and U+2001 become U+2002 and U+2003). None is a
+    letter or an apostrophe, an apostrophe rule looks at most one character
+    across it, and the ASCII and non-ASCII paths that each block picks for
+    itself give the same tokens.
     """
-    for block in re.finditer(r".{1,%d}\S*" % _BLOCK_CHARS, text, re.DOTALL):
+    pattern = rb".{1,%d}[^\t-\r\x1c- ]*" if isinstance(text, bytes) else r".{1,%d}\S*"
+    for block in re.finditer(pattern % _BLOCK_CHARS, text, re.DOTALL):
         yield block[0]
 
 

@@ -206,22 +206,17 @@ def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[i
 
 
 # rows per words.csv chunk: a run holds one batch of rows, never the whole
-# file, whose size grows with N. A batch costs about 0.4 KB per row (the row
-# strs, their join and its UTF-8 copy, where some surfaces are not ASCII),
-# so 1024 rows stay well below the transient of loading one document of
-# 100 000 characters (0.45 against 1 MB under tracemalloc); 4096 rows
-# raised the run's peak above the load stage's
+# file, whose size grows with N. A batch costs about 0.4 KB per row (the
+# decoded surfaces, the row strs, their join and its UTF-8 copy, where some
+# surfaces are not ASCII), so 1024 rows stay well below the transient of
+# loading one document of 100 000 characters (0.45 against 1 MB under
+# tracemalloc); 4096 rows raised the run's peak above the load stage's
 _WORDS_CSV_BATCH = 1024
-
-
-def _needs_quotes(text: str) -> bool:
-    """Whether csv.writer's minimal quoting with a "\n" line end quotes a field holding ``text``."""
-    return "," in text or '"' in text or "\n" in text
 
 
 def _csv_field(text: str) -> str:
     """A CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
-    if _needs_quotes(text):
+    if "," in text or '"' in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -241,9 +236,10 @@ def _words_csv_chunks(lexicon: Lexicon, weight: Sequence[float], probability: Se
     The doc_frequency, idf, weight and probability fields depend only on
     the word's count profile, so their text is rendered once per profile,
     here at call time: a column of the wrong length raises DomainError
-    before any chunk is taken. Whether a surface needs quoting is checked
-    once per batch, on the batch's surfaces joined, and per surface only in
-    a batch where some surface does.
+    before any chunk is taken. A batch's surfaces (UTF-8 bytes) are joined
+    by newlines, decoded and split at once. Whether a surface needs quoting
+    is checked on that join, and a batch where some surface holds , " or a
+    newline is decoded and quoted surface by surface.
     """
     _check_profile_column(lexicon, weight, "weight")
     _check_profile_column(lexicon, probability, "probability")
@@ -257,9 +253,12 @@ def _words_csv_chunks(lexicon: Lexicon, weight: Sequence[float], probability: Se
         surfaces, profile_ids = lexicon.surfaces, lexicon.profile_ids
         for start in range(0, len(surfaces), _WORDS_CSV_BATCH):
             stop = start + _WORDS_CSV_BATCH
-            fields = surfaces[start:stop]
-            if _needs_quotes("".join(fields)):
-                fields = map(_csv_field, fields)
+            batch = surfaces[start:stop]
+            joined = b"\n".join(batch)
+            if b"," in joined or b'"' in joined or joined.count(b"\n") >= len(batch):
+                fields = [_csv_field(surface.decode()) for surface in batch]
+            else:
+                fields = joined.decode().split("\n")
             rows = zip(range(start + 1, stop + 1), fields, profile_ids[start:stop])
             yield "".join([f"{surface},{first_index},{numbers[pid]}" for first_index, surface, pid in rows])
 

@@ -22,7 +22,7 @@ class StopwordSet(NamedTuple):
 
     fraction: float
     threshold: float  # maximum probability among the candidates
-    words: tuple[str, ...]  # the candidates' surfaces
+    words: tuple[str, ...]  # the candidates' surfaces, decoded
     first_indices: tuple[int, ...]  # their 1-based first indices, which the later stages read
     # words of the lexicon in every document: those whose weight is 0.0, as idf
     # is 0.0 only for m = n and otherwise at least ln(n/(n-1)) > 0
@@ -70,10 +70,11 @@ def candidate_count(size: int, fraction) -> int:
 def select_candidates(dist: IndexDistribution, fraction=0.05) -> StopwordSet:
     """Pick the ceil(fraction * N) lowest-probability words of a distribution over a lexicon.
 
-    Ties break on lower total term count first, then on the
-    lexicographically smaller surface form, so reruns always produce the
-    same ordered list. The threshold reported is the largest probability
-    among the selected words.
+    Ties break on lower total term count first, then on the surface form
+    that is smaller in code-point order, so reruns always produce the same
+    ordered list. The surfaces are compared as their UTF-8 bytes, whose
+    order is code-point order, and only the picked words are decoded. The
+    threshold reported is the largest probability among the selected words.
 
     Probability and total count are profile values, so profiles are
     grouped by those values, never by id: distinct profiles may still share
@@ -109,7 +110,7 @@ def select_candidates(dist: IndexDistribution, fraction=0.05) -> StopwordSet:
     return StopwordSet(
         fraction=float(frac),
         threshold=threshold,
-        words=tuple(map(by_surface, picked)),
+        words=tuple(map(bytes.decode, map(by_surface, picked))),
         first_indices=tuple(position + 1 for position in picked),
         zero_weight_words=sum(n for n, m in zip(words, lexicon.doc_frequency) if m == lexicon.doc_count),
         below_threshold=sum(size for (p, _), size in zip(keys, sizes) if p < threshold),

@@ -91,7 +91,7 @@ def per_word(lexicon: Lexicon, column) -> tuple:
 
 
 class WordRow(NamedTuple):
-    """A word's WordEntry fields and its profile's idf, weight and probability."""
+    """A word's WordEntry fields, its surface decoded, and its profile's idf, weight and probability."""
 
     surface: str
     first_index: int
@@ -110,7 +110,7 @@ def profile_idf(lexicon: Lexicon) -> tuple[float, ...]:
 def word_rows(lexicon: Lexicon, weight, probability) -> list[WordRow]:
     """Every word as a WordRow, in first_index order, from ``lexicon.entries`` and its profile columns."""
     numbers = zip(*(per_word(lexicon, column) for column in (profile_idf(lexicon), weight, probability)))
-    return [WordRow(*entry, *row) for entry, row in zip(lexicon.entries, numbers)]
+    return [WordRow(entry.surface.decode(), *entry[1:], *row) for entry, row in zip(lexicon.entries, numbers)]
 
 
 def candidate_rows(lexicon: Lexicon, weight, probability, stopwords) -> list[WordRow]:
@@ -122,14 +122,15 @@ def candidate_rows(lexicon: Lexicon, weight, probability, stopwords) -> list[Wor
 def make_lexicon(values, counts=None, surfaces=None) -> tuple[Lexicon, tuple[float, ...]]:
     """A synthetic lexicon for selector/position tests, and ``values`` as its one number column.
 
-    Word k gets a count profile of its own, total counts[k] (by default 1),
-    so ``values`` is both per profile and per word; it serves as weights
-    and as probabilities. Of the 2 documents, a word of value 0.0 is in
+    ``surfaces`` are str, stored as their UTF-8 bytes (by default w000001,
+    w000002, ...). Word k gets a count profile of its own, total counts[k]
+    (by default 1), so ``values`` is both per profile and per word; it
+    serves as weights and as probabilities. Of the 2 documents, a word of value 0.0 is in
     both, so it counts as a zero-weight word, and any other word in one.
     """
     n = len(values)
     lexicon = Lexicon(
-        surfaces=tuple(surfaces) if surfaces is not None else tuple(f"w{k:06d}" for k in range(1, n + 1)),
+        surfaces=tuple(s.encode() for s in surfaces or (f"w{k:06d}" for k in range(1, n + 1))),
         profile_ids=array("I", range(n)),
         doc_frequency=tuple(2 if value == 0.0 else 1 for value in values),
         total_count=tuple(counts) if counts is not None else (1,) * n,

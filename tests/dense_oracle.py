@@ -38,9 +38,9 @@ class DenseLexicon:
         return len(self.entries)
 
 
-def counts(documents: list[list[str]]) -> dict[str, tuple[int, int]]:
-    """Each word, in first-appearance order, with its (doc frequency, total count)."""
-    return {e.surface: (e.doc_frequency, e.total_count) for e in build_lexicon(documents).entries}
+def counts(documents: list[list[str]]) -> dict[bytes, tuple[int, int]]:
+    """Each word's UTF-8 bytes, in first-appearance order, with its (doc frequency, total count)."""
+    return {e.surface.encode(): (e.doc_frequency, e.total_count) for e in build_lexicon(documents).entries}
 
 
 def build_lexicon(documents: list[list[str]]) -> DenseLexicon:

@@ -28,7 +28,7 @@ from conftest import TOY_SOURCES, letter_code, six_profile_documents
 from test_tokenize import CHUNK_PIECES
 
 
-def _dense_counts(texts) -> dict[str, tuple[int, int]]:
+def _dense_counts(texts) -> dict[bytes, tuple[int, int]]:
     """(doc frequency, total count) per word of (name, text) pairs, from the dense oracle."""
     return dense_oracle.counts([tokenize(text) for _, text in texts])
 
@@ -37,9 +37,9 @@ def test_toy_corpus_shape(toy_corpus):
     assert toy_corpus.doc_count == 3
     assert toy_corpus.token_total == 8
     # first appearance across documents: olma, nok (d1), then uzum (d2)
-    assert list(toy_corpus.counts_of) == ["olma", "nok", "uzum"]
-    # (doc frequency, total count)
-    assert toy_corpus.counts_of == {"olma": (2, 3), "nok": (2, 2), "uzum": (2, 3)}
+    assert list(toy_corpus.counts_of) == [b"olma", b"nok", b"uzum"]
+    # (doc frequency, total count), keyed by the words' UTF-8 bytes
+    assert toy_corpus.counts_of == {b"olma": (2, 3), b"nok": (2, 2), b"uzum": (2, 3)}
     assert toy_corpus.counts_of == _dense_counts(TOY_SOURCES)
 
 
@@ -62,7 +62,7 @@ def test_bad_utf8_names_source():
 
 def test_bytes_sources_decode():
     corpus = load_corpus([("d1", "olma nok".encode("utf-8")), ("d2", "nok soʻz".encode("utf-8"))])
-    assert corpus.counts_of == {"olma": (1, 1), "nok": (2, 2), "soʻz": (1, 1)}
+    assert corpus.counts_of == {b"olma": (1, 1), b"nok": (2, 2), "soʻz".encode(): (1, 1)}
     assert corpus.counts_of == _dense_counts([("d1", "olma nok"), ("d2", "nok soʻz")])
     assert (corpus.doc_count, corpus.token_total) == (2, 4)
 
@@ -94,9 +94,41 @@ def test_block_counts_match_counting_the_whole_text(text, block_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
         counts = stoplex.corpus._count_tokens(text)
-    whole = Counter(tokenize(text))
+    whole = Counter(token.encode() for token in tokenize(text))
     assert list(counts.items()) == list(whole.items())
     assert counts.total() == whole.total()
+
+
+# ASCII bytes are cut at the ASCII str.isspace set, which U+001C to U+001F
+# belong to and a bytes pattern's \s leaves out
+ASCII_BLOCK_PIECES = [
+    "a", "Bc", "'", "`", "''", "it's", "7", ",",
+    " ", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+]
+ascii_block_texts = st.lists(st.sampled_from(ASCII_BLOCK_PIECES), max_size=30).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ascii_block_texts, st.integers(1, 8))
+@example("a\x1fb\x0bc", 1)  # words separated only by U+001F and \x0b
+@example("ab'\x1c'cd", 2)  # apostrophes on both sides of a cut
+def test_ascii_bytes_block_counts_match_counting_the_whole_text(text, block_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
+        blocks = [block.decode() for block in stoplex.corpus._blocks(text.encode())]
+        assert blocks == list(stoplex.corpus._blocks(text))
+        counts = stoplex.corpus._count_tokens(text.encode())
+    whole = Counter(token.encode() for token in tokenize(text))
+    assert list(counts.items()) == list(whole.items())
+
+
+def test_ascii_bytes_documents_are_never_decoded(monkeypatch):
+    def refuse(name, blob):
+        raise AssertionError(f"{name} was decoded")
+
+    monkeypatch.setattr(stoplex.corpus, "_decode", refuse)
+    corpus = load_corpus([("d1", b"O'zbek g`oya"), ("d2", b"olma\x1fnok\x0bolma")])
+    assert corpus.surfaces == ("oʻzbek".encode(), "gʻoya".encode(), b"olma", b"nok")
 
 
 def test_postings_keep_first_appearance_order_and_document_order():
@@ -108,10 +140,10 @@ def test_postings_keep_first_appearance_order_and_document_order():
     ]
     corpus = load_corpus(texts)
     assert list(corpus.counts_of.items()) == [
-        ("nok", (2, 4)),  # d1, d4
-        ("olma", (2, 3)),  # d1, d3
-        ("uzum", (1, 1)),
-        ("anor", (2, 3)),  # d3, d4
+        (b"nok", (2, 4)),  # d1, d4
+        (b"olma", (2, 3)),  # d1, d3
+        (b"uzum", (1, 1)),
+        (b"anor", (2, 3)),  # d3, d4
     ]
     assert list(corpus.counts_of.items()) == list(_dense_counts(texts).items())
     assert (corpus.doc_count, corpus.token_total) == (4, 11)
@@ -202,6 +234,32 @@ def test_build_lexicon_does_not_raise_the_peak_of_load_corpus():
     assert lexicon.size == n_words
 
 
+def test_load_corpus_peak_per_word_on_a_wide_corpus():
+    # 40 000 words, a quarter with U+02BB, as read from files: 10 of the 40
+    # documents hold those and are decoded, the other 30 are ASCII. Each
+    # word is kept as its UTF-8 bytes, whose header is 33 bytes, and the
+    # end of load_corpus also holds its dict entry, a tuple slot and a
+    # profile id: measured 75.9 bytes per word beyond the words' UTF-8 bytes
+    # on Python 3.10 to 3.12. str keys took 83.5 (3.12) to 102.3 (3.10)
+    n_words, n_docs = 40_000, 40
+    rng = random.Random(29)
+    words = [letter_code(j) + ("oʻzbekistonlik" if j % 4 == 0 else "lari") for j in range(n_words)]
+    texts = []
+    for d in range(n_docs):
+        own = words[d::n_docs]
+        texts.append((f"d{d}", " ".join(own + rng.choices(own, k=200)).encode()))
+    load_corpus(texts[:2])  # fills the interpreter's one-off caches before tracing
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(text.isascii() for _, text in texts) == 30
+    assert corpus.surfaces == tuple(word.encode() for d in range(n_docs) for word in words[d::n_docs])
+    assert peak <= sum(len(word.encode()) for word in words) + 80 * n_words
+
+
 @pytest.mark.parametrize("texts", [TOY_SOURCES, six_profile_documents(300)], ids=["toy", "six-profiles"])
 def test_four_byte_profile_ids_give_the_same_lexicon_and_outputs(monkeypatch, tmp_path, texts):
     for name, text in texts:
@@ -223,8 +281,8 @@ def test_four_byte_profile_ids_give_the_same_lexicon_and_outputs(monkeypatch, tm
 
 def test_toy_lexicon_entries(toy_lexicon):
     entries = {e.surface: e for e in toy_lexicon.entries}
-    assert [e.surface for e in toy_lexicon.entries] == ["olma", "nok", "uzum"]
-    assert (entries["olma"].first_index, entries["nok"].first_index, entries["uzum"].first_index) == (1, 2, 3)
+    assert [e.surface for e in toy_lexicon.entries] == [b"olma", b"nok", b"uzum"]
+    assert (entries[b"olma"].first_index, entries[b"nok"].first_index, entries[b"uzum"].first_index) == (1, 2, 3)
     assert [e.total_count for e in toy_lexicon.entries] == [3, 2, 3]  # olma 2 + 1, nok 1 + 1, uzum 1 + 2
     assert toy_lexicon.doc_count == 3
     assert all(e.doc_frequency == 2 for e in toy_lexicon.entries)
@@ -240,13 +298,17 @@ def test_replace_rebuilds_the_member_lists(toy_lexicon):
 @pytest.mark.parametrize(
     "change",
     [
-        {"surfaces": ("olma", "nok", "uzum", "anor")},  # 4 surfaces, 3 profile ids
+        {"surfaces": (b"olma", b"nok", b"uzum", b"anor")},  # 4 surfaces, 3 profile ids
+        {"surfaces": (b"olma", "nok", b"uzum")},  # a str surface
         {"profile_ids": array("I", [0, 1])},  # 3 surfaces, 2 profile ids
         {"doc_frequency": (2,)},  # 1 doc frequency, 2 totals
         {"total_count": (3, 2, 1)},  # 2 doc frequencies, 3 totals
         {"profile_ids": array("I", [0, 2, 0])},  # profile 2 has no row
     ],
-    ids=["surplus-surface", "missing-profile-id", "missing-total", "surplus-total", "profile-id-out-of-range"],
+    ids=[
+        "surplus-surface", "str-surface", "missing-profile-id", "missing-total", "surplus-total",
+        "profile-id-out-of-range",
+    ],
 )
 def test_lexicon_rejects_mismatched_columns(toy_lexicon, change):
     fields = {name: getattr(toy_lexicon, name) for name in Lexicon._fields if name != "members"}
@@ -257,8 +319,8 @@ def test_lexicon_rejects_mismatched_columns(toy_lexicon, change):
 def test_single_doc_lexicon():
     lexicon = build_lexicon(load_corpus([("d", "a b a")]))
     assert [(e.surface, e.first_index, e.doc_frequency) for e in lexicon.entries] == [
-        ("a", 1, 1),
-        ("b", 2, 1),
+        (b"a", 1, 1),
+        (b"b", 2, 1),
     ]
 
 
@@ -285,19 +347,19 @@ def test_determinism(toy_corpus):
 
 
 def test_lexicon_surface_lookup(toy_lexicon):
-    position = toy_lexicon.surfaces.index("nok")
+    position = toy_lexicon.surfaces.index(b"nok")
     row = list(toy_lexicon.entries)[position]
-    assert (row.surface, row.first_index) == ("nok", 2)
+    assert (row.surface, row.first_index) == (b"nok", 2)
 
 
 def test_load_from_paths_reads_files_in_the_given_order(tmp_path):
     (tmp_path / "b.txt").write_text("nok uzum", encoding="utf-8")
     (tmp_path / "a.txt").write_text("olma nok", encoding="utf-8")
     corpus = load_corpus_from_paths(collect_input_files([tmp_path]))  # lexicographic in a dir
-    assert [e.surface for e in build_lexicon(corpus).entries] == ["olma", "nok", "uzum"]
-    assert corpus.counts_of["nok"] == (2, 2)
+    assert [e.surface for e in build_lexicon(corpus).entries] == [b"olma", b"nok", b"uzum"]
+    assert corpus.counts_of[b"nok"] == (2, 2)
     reversed_corpus = load_corpus_from_paths([tmp_path / "b.txt", tmp_path / "a.txt"])
-    assert [e.surface for e in build_lexicon(reversed_corpus).entries] == ["nok", "uzum", "olma"]
+    assert [e.surface for e in build_lexicon(reversed_corpus).entries] == [b"nok", b"uzum", b"olma"]
 
 
 def test_load_from_paths_names_a_bad_file_by_its_stem(tmp_path):

@@ -239,7 +239,7 @@ def grouped_weights(draw, max_size=200) -> tuple[list[float], list[int]]:
 def grouped_lexicon(n_groups: int, groups) -> Lexicon:
     """A lexicon whose word k + 1 has count profile groups[k], one profile per group."""
     return Lexicon(
-        surfaces=tuple(f"w{i}" for i in range(len(groups))),
+        surfaces=tuple(f"w{i}".encode() for i in range(len(groups))),
         profile_ids=array("I", groups),
         doc_frequency=(1,) * n_groups,
         total_count=tuple(range(1, n_groups + 1)),

@@ -206,7 +206,7 @@ def test_plots_are_deterministic():
 def _profile_lexicon(weights, profile_ids) -> tuple[Lexicon, tuple[float, ...]]:
     """Words over count profiles of the given weights, and their probabilities as the pipeline makes them."""
     lexicon = Lexicon(
-        surfaces=tuple(map(letter_code, range(len(profile_ids)))),
+        surfaces=tuple(letter_code(i).encode() for i in range(len(profile_ids))),
         profile_ids=array("I", profile_ids),
         doc_frequency=(1,) * len(weights),
         total_count=tuple(range(1, len(weights) + 1)),

@@ -55,6 +55,19 @@ def test_equal_probabilities_tie_break():
     assert selected.words[0] == min(surfaces)
 
 
+def test_tie_break_is_code_point_order_not_utf16_order():
+    # U+FB00 (ﬀ) comes before U+1D41A (𝐚) in code points, and after it in
+    # UTF-16, where 𝐚 is the surrogate pair D835 DC1A. The first tie group is
+    # taken whole and sorted, the second is cut: both rank by code point
+    first, cut = ["\U0001d41a", "\ufb00", "a"], ["\U0001d41b", "\ufb01"]
+    assert sorted(first, key=lambda word: word.encode("utf-16-be")) == ["a", "\U0001d41a", "\ufb00"]
+    lexicon, probability = make_lexicon([0.1] * 3 + [0.35] * 2, surfaces=first + cut)
+    selected = select_candidates(density(lexicon, probability), 0.8)  # k = 4
+    assert selected.words == ("a", "\ufb00", "\U0001d41a", "\ufb01")
+    assert selected.first_indices == (3, 2, 1, 5)
+    assert (selected.below_threshold, selected.tied_at_threshold) == (3, 2)
+
+
 def test_tie_break_prefers_lower_total_count():
     lexicon, probability = make_lexicon([0.25, 0.25, 0.25, 0.25], counts=[9, 2, 9, 9])
     selected = select_candidates(density(lexicon, probability), 0.3)  # k = 2

@@ -36,9 +36,9 @@ sources = st.builds(
 
 
 def _word_rows(table):
-    """Per word: (surface, first_index, doc_frequency, total_count), read from the table."""
+    """Per word: (surface decoded, first_index, doc_frequency, total_count), read from the table."""
     return [
-        (surface, first_index, table.doc_frequency[pid], table.total_count[pid])
+        (surface.decode(), first_index, table.doc_frequency[pid], table.total_count[pid])
         for first_index, (surface, pid) in enumerate(zip(table.surfaces, table.profile_ids), start=1)
     ]
 

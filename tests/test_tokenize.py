@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import scanner_oracle
 import stoplex.corpus
-from stoplex import CANONICAL_APOSTROPHE, tokenize
+from stoplex import CANONICAL_APOSTROPHE, DomainError, tokenize
 
 APOSTROPHE_VARIANTS = ["'", "’", "ʼ", "`"]
 
@@ -116,9 +116,15 @@ def test_tokenize_matches_reference_scanner(text):
 
 
 # The ASCII path: a text of code points below 128 goes through translate,
-# replace, strip and split, not the chunk path. The suite above rarely
-# draws such a text.
-ASCII_PIECES = ["'", "`", "''", "`'", "O'", "g`", "_", "7", "\x00", "\t"]
+# replace, strip and split on its bytes, not the chunk path. A str takes it
+# encoded, and ASCII bytes, as load_corpus counts an ASCII document, give
+# the UTF-8 of the str tokens. The suite above rarely draws such a text.
+# The separators that str.split cuts at but a bytes pattern's \s leaves out
+# (U+001C to U+001F) are drawn too.
+ASCII_PIECES = [
+    "'", "`", "''", "`'", "O'", "g`", "_", "7", "\x00", "\t",
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+]
 ascii_texts = st.lists(
     st.one_of(st.sampled_from(ASCII_PIECES), st.characters(max_codepoint=127)), max_size=40
 ).map("".join)
@@ -135,9 +141,19 @@ ascii_texts = st.lists(
 @example("`'x'`")  # both variants, at both ends
 @example("it's rock'n'roll don''t")
 @example("a\x0bb\x1cc\x0b\x1c")  # separators that str.split also cuts at
+@example("it's\x0bdon't\x1fo'zbek\x1cg`oya\x0cq\x1dr\x1es")
+@example("'\x1d'a'\x1e'b'\x1f")  # apostrophes next to U+001D to U+001F
 def test_ascii_tokenize_matches_reference_scanner(text):
     assert text.isascii()
-    assert tokenize(text) == scanner_oracle.tokenize(text)
+    tokens = tokenize(text)
+    assert tokens == scanner_oracle.tokenize(text)
+    assert tokenize(text.encode()) == [token.encode() for token in tokens]
+
+
+def test_tokenize_takes_only_ascii_bytes():
+    assert tokenize(b"O'zbek") == ["oʻzbek".encode()]
+    with pytest.raises(DomainError):
+        tokenize("oʻzbek".encode())
 
 
 # The chunk path: non-ASCII text is cut at whitespace, `,` and `.`, a

@@ -70,8 +70,8 @@ def test_containing_docs_mode(toy_lexicon):
     # same totals, but divided by m=2 instead of n=3
     weight = apply_weights(toy_lexicon, AveragingMode.CONTAINING_DOCS)
     by_surface = dict(zip(toy_lexicon.surfaces, per_word(toy_lexicon, weight)))
-    assert by_surface["olma"] == pytest.approx(3 * LN_3_OVER_2 / 2)
-    assert by_surface["nok"] == pytest.approx(2 * LN_3_OVER_2 / 2)
+    assert by_surface[b"olma"] == pytest.approx(3 * LN_3_OVER_2 / 2)
+    assert by_surface[b"nok"] == pytest.approx(2 * LN_3_OVER_2 / 2)
 
 
 def test_mode_accepts_strings(toy_lexicon):
@@ -115,7 +115,7 @@ def test_weight_monotone_in_total_count():
     corpus = load_corpus([("d1", "a a a b c c"), ("d2", "x")])
     lexicon = build_lexicon(corpus)
     by_surface = dict(zip(lexicon.surfaces, per_word(lexicon, apply_weights(lexicon))))
-    assert by_surface["b"] < by_surface["c"] < by_surface["a"]
+    assert by_surface[b"b"] < by_surface[b"c"] < by_surface[b"a"]
 
 
 @pytest.mark.parametrize("mode", list(AveragingMode))
@@ -159,7 +159,7 @@ def test_probability_total_is_fsum_over_every_word(weights, seed):
     total = math.fsum(expanded)
     assume(total > 0.0)
     lexicon = Lexicon(
-        surfaces=tuple(f"w{i}" for i in range(len(profile_ids))),
+        surfaces=tuple(f"w{i}".encode() for i in range(len(profile_ids))),
         profile_ids=array("I", profile_ids),
         doc_frequency=(1,) * len(weights),
         total_count=tuple(range(1, len(weights) + 1)),

@@ -28,7 +28,7 @@ def _lexicon(words, profiles) -> tuple[Lexicon, tuple[float, ...], tuple[float, 
     """
     doc_frequency = tuple(df for df, *_ in profiles)
     lexicon = Lexicon(
-        surfaces=tuple(surface for surface, _ in words),
+        surfaces=tuple(surface.encode() for surface, _ in words),
         profile_ids=array("I", [pid for _, pid in words]),
         doc_frequency=doc_frequency,
         total_count=doc_frequency,
@@ -84,7 +84,7 @@ ZERO, NEG_ZERO = 0.0, -0.0
 def test_words_csv_matches_csv_writer(case):
     lexicon, weight, probability = case
     if CSV_QUOTES_LONE_CR:
-        surfaces = tuple(surface.replace("\r", "") for surface in lexicon.surfaces)
+        surfaces = tuple(surface.replace(b"\r", b"") for surface in lexicon.surfaces)
         lexicon = lexicon._replace(surfaces=surfaces)
     expected = csv_oracle.words_csv(word_rows(lexicon, weight, probability))
     assert words_csv(lexicon, weight, probability) == expected
