@@ -199,8 +199,8 @@ class Lexicon(_LexiconFields):
     and no argument: every construction builds it, _replace too. The stages
     after build_lexicon read a profile's words from it. Raises DomainError
     when a surface is not bytes (a str, say), when the columns differ in
-    length or when a profile id has no row. The stages decode only the
-    surfaces they write out.
+    length or when a profile id has no row. Only selection decodes
+    surfaces, those of its k words; words.csv writes them as they are.
 
     ``entries`` is the one per-word row view, made for every word on each
     call; no stage reads it.

@@ -206,61 +206,59 @@ def sample_mean_for(xbar_mode: str, lexicon_size: int, first_indices: Sequence[i
 
 
 # rows per words.csv chunk: a run holds one batch of rows, never the whole
-# file, whose size grows with N. A batch costs about 0.4 KB per row (the
-# decoded surfaces, the row strs, their join and its UTF-8 copy, where some
-# surfaces are not ASCII), so 1024 rows stay well below the transient of
-# loading one document of 100 000 characters (0.45 against 1 MB under
-# tracemalloc); 4096 rows raised the run's peak above the load stage's
+# file, whose size grows with N. A batch costs about 0.29 KB per row under
+# tracemalloc on CPython 3.11 (the row bytes objects, their join and the
+# batch's surfaces joined for the quoting check), so 1024 rows, 0.34 MB,
+# stay well below the 1.8 MB that loading 15 documents of 120 000
+# characters peaks above what it keeps
 _WORDS_CSV_BATCH = 1024
 
 
-def _csv_field(text: str) -> str:
-    """A CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _csv_field(surface: bytes) -> bytes:
+    """A UTF-8 CSV field as csv.writer's minimal quoting with a "\n" line end writes it."""
+    if b"," in surface or b'"' in surface or b"\n" in surface:
+        return b'"' + surface.replace(b'"', b'""') + b'"'
+    return surface
 
 
 def words_csv(lexicon: Lexicon, weight: Sequence[float], probability: Sequence[float]) -> str:
     """CSV word table in first_index order; floats use repr round-tripping.
 
-    It is the text of the batches that runs stream to words.csv, joined.
+    It is the bytes of the batches that runs stream to words.csv, joined and decoded.
     Raises DomainError unless there is one weight and one probability per profile.
     """
-    return "".join(_words_csv_chunks(lexicon, weight, probability))
+    return b"".join(_words_csv_chunks(lexicon, weight, probability)).decode()
 
 
-def _words_csv_chunks(lexicon: Lexicon, weight: Sequence[float], probability: Sequence[float]) -> Iterator[str]:
-    """The words.csv text as its header, then one str per batch of _WORDS_CSV_BATCH rows.
+def _words_csv_chunks(lexicon: Lexicon, weight: Sequence[float], probability: Sequence[float]) -> Iterator[bytes]:
+    """The words.csv UTF-8 bytes as its header, then one bytes per batch of _WORDS_CSV_BATCH rows.
 
     The doc_frequency, idf, weight and probability fields depend only on
-    the word's count profile, so their text is rendered once per profile,
-    here at call time: a column of the wrong length raises DomainError
-    before any chunk is taken. A batch's surfaces (UTF-8 bytes) are joined
-    by newlines, decoded and split at once. Whether a surface needs quoting
-    is checked on that join, and a batch where some surface holds , " or a
-    newline is decoded and quoted surface by surface.
+    the word's count profile, so their text is rendered and encoded once per
+    profile, here at call time: a column of the wrong length raises
+    DomainError before any chunk is taken. A batch's surfaces are written as
+    the lexicon holds them, UTF-8 bytes. Whether a surface needs quoting is
+    checked on the batch's surfaces joined by newlines, and a batch where
+    some surface holds , " or a newline is quoted surface by surface.
     """
     _check_profile_column(lexicon, weight, "weight")
     _check_profile_column(lexicon, probability, "probability")
     numbers = [
-        f"{m},{inverse_document_frequency(lexicon.doc_count, m)!r},{w!r},{p!r}\n"
+        f"{m},{inverse_document_frequency(lexicon.doc_count, m)!r},{w!r},{p!r}\n".encode()
         for m, w, p in zip(lexicon.doc_frequency, weight, probability)
     ]
 
-    def chunks() -> Iterator[str]:
-        yield "word,first_index,doc_frequency,idf,weight,probability\n"
+    def chunks() -> Iterator[bytes]:
+        yield b"word,first_index,doc_frequency,idf,weight,probability\n"
         surfaces, profile_ids = lexicon.surfaces, lexicon.profile_ids
         for start in range(0, len(surfaces), _WORDS_CSV_BATCH):
             stop = start + _WORDS_CSV_BATCH
-            batch = surfaces[start:stop]
-            joined = b"\n".join(batch)
-            if b"," in joined or b'"' in joined or joined.count(b"\n") >= len(batch):
-                fields = [_csv_field(surface.decode()) for surface in batch]
-            else:
-                fields = joined.decode().split("\n")
+            fields = surfaces[start:stop]
+            joined = b"\n".join(fields)
+            if b"," in joined or b'"' in joined or joined.count(b"\n") >= len(fields):
+                fields = map(_csv_field, fields)
             rows = zip(range(start + 1, stop + 1), fields, profile_ids[start:stop])
-            yield "".join([f"{surface},{first_index},{numbers[pid]}" for first_index, surface, pid in rows])
+            yield b"".join([b"%b,%d,%b" % (surface, first_index, numbers[pid]) for first_index, surface, pid in rows])
 
     return chunks()
 
@@ -320,11 +318,11 @@ def run_pipeline(config: RunConfig) -> AnalysisReport:
     )
 
     renderers = {
-        "stopwords.txt": lambda: (export_list(stopwords),),
-        "report.json": lambda: (report.to_json(),),
+        "stopwords.txt": lambda: (export_list(stopwords).encode(),),
+        "report.json": lambda: (report.to_json().encode(),),
         "words.csv": lambda: _words_csv_chunks(lexicon, weight, probability),
-        "density.svg": lambda: (emit_density_plot(dist, stopwords.first_indices, summary),),
-        "sorted.svg": lambda: (emit_sorted_plot(dist, stopwords.count),),
+        "density.svg": lambda: (emit_density_plot(dist, stopwords.first_indices, summary).encode(),),
+        "sorted.svg": lambda: (emit_sorted_plot(dist, stopwords.count).encode(),),
     }
     with _stage("write_outputs"):
         _write_all(Path(config.output_dir), [(name, renderers[name]) for name in _output_names(config)])
@@ -368,10 +366,11 @@ def _output_names(config: RunConfig) -> tuple[str, ...]:
     return names + ("density.svg", "sorted.svg") if config.plots else names
 
 
-def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], Iterable[str]]]]) -> None:
+def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], Iterable[bytes]]]]) -> None:
     """Render and write every (file name, renderer) output, or none of them.
 
-    A renderer returns its output as str chunks. Each chunk goes to a
+    A renderer returns its output as UTF-8 bytes chunks, written as they
+    are, so line ends are "\n" on every platform. Each chunk goes to a
     temporary file in ``out_dir`` as soon as it is rendered, so one chunk is
     held at a time: a batch of words.csv rows, or a whole smaller file. The
     temporary files replace the final names only after all of them are
@@ -385,7 +384,7 @@ def _write_all(out_dir: Path, outputs: list[tuple[str, Callable[[], Iterable[str
         for name, render in outputs:
             temp = out_dir / f".{name}.{os.getpid()}.tmp"
             written.append((temp, out_dir / name))
-            with open(temp, "w", encoding="utf-8") as handle:
+            with open(temp, "wb") as handle:
                 handle.writelines(render())
         for temp, final in written:
             os.replace(temp, final)

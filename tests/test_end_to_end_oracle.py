@@ -6,6 +6,7 @@ tests/scanner_oracle.py, never those of stoplex.tokenize, so a fault in any
 stage, the tokenizer included, shows as a mismatch of the run's outputs.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -76,6 +77,30 @@ def _exact_probabilities(ref, averaging: str) -> list[float]:
     return [w / weight_sum for w in weight]
 
 
+def _exact_moments(probability: list[float]) -> dict:
+    """The moments check.py reports, with E1-E3 and D as exact sums, each rounded once.
+
+    That is how stoplex defines them, D about the float E1. check.py rounds
+    each p * i**k before its fsum, which can move E or sigma by an ulp and
+    put an index on the other side of E - sigma or E + sigma.
+    """
+    points = [(i, Fraction(p)) for i, p in enumerate(probability, start=1)]
+    e1, e2, e3 = (float(sum(p * i**k for i, p in points)) for k in (1, 2, 3))
+    dispersion = float(sum(p * (i - Fraction(e1)) ** 2 for i, p in points))
+    sigma = math.sqrt(dispersion)
+    mu3 = e3 - 3.0 * e1 * e2 + 2.0 * e1**3
+    return {
+        "expectation": e1,
+        "dispersion": dispersion,
+        "std_dev": sigma,
+        "raw_moment_1": e1,
+        "raw_moment_2": e2,
+        "raw_moment_3": e3,
+        "third_central_moment": mu3,
+        "asymmetry": mu3 / sigma**3,
+    }
+
+
 # "oʻzbek" counts (3, 2) and "olma" (1, 4): one doc frequency and one total, so the two tie
 TIED_PAIR = [[], [], ["O'zbek", "O'zbek", "O'zbek", "olma"], ["O'zbek", "O'zbek", "olma", "olma", "olma", "olma"]]
 
@@ -91,6 +116,13 @@ TIED_PAIR = [[], [], ["O'zbek", "O'zbek", "O'zbek", "olma"], ["O'zbek", "O'zbek"
 @given(documents, st.permutations(range(5)), options)
 @example(TIED_PAIR, [0, 1, 2, 3, 4], check.RunOptions(fraction="0.001", zcrit=0.5))
 @example(TIED_PAIR, [0, 1, 2, 3, 4], check.RunOptions(fraction="0.501", zcrit=0.5))
+# p = (0.4, 0.3, 0.2, 0.1) rounded: the exact E and sigma put index 1 just inside
+# E - sigma, where check.py's rounded products put it on the edge
+@example(
+    [[], ["gʻoya", "O'zbek", "O'zbek", "O'zbek", "olma", "olma", "nok", "gʻoya", "gʻoya", "gʻoya"]],
+    [0, 1, 2, 3, 4],
+    check.RunOptions(fraction="0.751", averaging="all", xbar="midpoint", zcrit=0.5),
+)
 def test_analyze_matches_the_reference(pieces, shuffle, opts):
     texts = [" ".join(doc) for doc in pieces]
     names = [f"doc{i}.txt" for i in range(len(texts))]
@@ -114,9 +146,10 @@ def test_analyze_matches_the_reference(pieces, shuffle, opts):
         else:
             assert code == 0
             ref = check.build_reference(tuple(docs), opts)
-            check.check_outputs(out, ref, opts, stdout.getvalue())
-            counts = json.loads((out / "report.json").read_text(encoding="utf-8"))["stopwords"]
             probability = _exact_probabilities(ref, opts.averaging)
+            exact = dataclasses.replace(ref, moments=_exact_moments(probability))
+            check.check_outputs(out, exact, opts, stdout.getvalue())
+            counts = json.loads((out / "report.json").read_text(encoding="utf-8"))["stopwords"]
             threshold = sorted(probability)[ref.k - 1]
             assert counts["zero_weight_words"] == sum(w == 0.0 for w in ref.weight)
             assert counts["below_threshold"] == sum(p < threshold for p in probability)

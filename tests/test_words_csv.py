@@ -43,8 +43,9 @@ def _lexicon(words, profiles) -> tuple[Lexicon, tuple[float, ...], tuple[float, 
 # surfaces so that everything else is still compared.
 CSV_QUOTES_LONE_CR = '"\r"' in csv_oracle.words_csv(word_rows(*_lexicon([("\r", 0)], [(1, 0.0, 0.0)])))
 
-# Python 3.10's csv.writer raises on NUL, so no surface holds one.
-CHARACTERS = st.characters(exclude_characters="\x00")
+# Python 3.10's csv.writer raises on NUL, so no surface holds one; a lone
+# surrogate has no UTF-8 form, so no lexicon holds one either.
+CHARACTERS = st.characters(codec="utf-8", exclude_characters="\x00")
 surfaces = st.lists(
     st.one_of(st.sampled_from([",", '"', "\n", "\r", "", " ", "ʻ", "olma"]), CHARACTERS), max_size=6
 ).map("".join)
@@ -91,7 +92,7 @@ def test_words_csv_matches_csv_writer(case):
     for batch in BATCHES:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(stoplex.report, "_WORDS_CSV_BATCH", batch)
-            assert "".join(_words_csv_chunks(lexicon, weight, probability)) == expected
+            assert b"".join(_words_csv_chunks(lexicon, weight, probability)).decode() == expected
 
 
 @pytest.mark.parametrize("column", NUMBER_COLUMNS)
@@ -113,9 +114,19 @@ def test_words_csv_chunks_are_the_header_then_full_batches(monkeypatch, batch, o
     n_words = batch + offset
     case = _lexicon([(f"w,{j}", j % 2) for j in range(n_words)], [(2, 0.5, 0.25), (1, NEG_ZERO, 5e-324)])
     chunks = list(_words_csv_chunks(*case))
-    assert "".join(chunks) == csv_oracle.words_csv(word_rows(*case))
+    assert b"".join(chunks).decode() == csv_oracle.words_csv(word_rows(*case))
     full, rest = divmod(n_words, batch)
-    assert [chunk.count("\n") for chunk in chunks] == [1] + [batch] * full + [rest] * (rest > 0)
+    assert [chunk.count(b"\n") for chunk in chunks] == [1] + [batch] * full + [rest] * (rest > 0)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_words_csv_chunks_are_the_utf8_bytes_of_the_table(monkeypatch, batch):
+    monkeypatch.setattr(stoplex.report, "_WORDS_CSV_BATCH", batch)
+    words = [("gʻoya", 0), ("olma", 1), ('ʻa"b', 0), ("café", 1), ("x,é", 0), ("\nʻ", 1)]
+    case = _lexicon(words, [(2, 0.5, 0.25), (1, NEG_ZERO, 5e-324)])
+    chunks = list(_words_csv_chunks(*case))
+    assert {type(chunk) for chunk in chunks} == {bytes}
+    assert b"".join(chunks) == csv_oracle.words_csv(word_rows(*case)).encode()
 
 
 def test_writing_words_csv_holds_a_small_fraction_of_the_file(tmp_path, monkeypatch):
@@ -180,9 +191,9 @@ def test_writing_the_outputs_raises_the_peak_less_than_loading(tmp_path, monkeyp
     assert report.unique_words >= 30_000
     load_kept, load_peak = stages["load"]
     _, write_peak = stages["write"]
-    # measured on CPython 3.11 (N 34 409): loading peaks 0.99 MB above what it
-    # keeps; writing the outputs peaks 0.45 MB above its start with batches of
-    # 1024 rows, and 1.62 MB with the 4096 rows words.csv was once written in
+    # measured on CPython 3.11 (N 34 409): loading peaks 1.81 MB above what it
+    # keeps; writing the outputs peaks 0.34 MB above its start with batches of
+    # 1024 rows, and 1.22 MB with 4096 rows
     assert write_peak < load_peak - load_kept
 
 
@@ -192,9 +203,9 @@ def test_quoting_is_decided_per_batch(monkeypatch):
     words = [("olma", 0), ("nok", 1), ("uzum", 0), ("anor", 1), ('a"b', 0), ("til", 1), ("x,y", 0)]
     case = _lexicon(words, [(30, 0.5, 0.25), (1, NEG_ZERO, 5e-324)])
     chunks = list(_words_csv_chunks(*case))
-    assert "".join(chunks) == csv_oracle.words_csv(word_rows(*case))
+    assert b"".join(chunks).decode() == csv_oracle.words_csv(word_rows(*case))
     assert chunks[2:] == [
-        "uzum,3,30,0.0,0.5,0.25\nanor,4,1,3.4011973816621555,-0.0,5e-324\n",
-        '"a""b",5,30,0.0,0.5,0.25\ntil,6,1,3.4011973816621555,-0.0,5e-324\n',
-        '"x,y",7,30,0.0,0.5,0.25\n',
+        b"uzum,3,30,0.0,0.5,0.25\nanor,4,1,3.4011973816621555,-0.0,5e-324\n",
+        b'"a""b",5,30,0.0,0.5,0.25\ntil,6,1,3.4011973816621555,-0.0,5e-324\n',
+        b'"x,y",7,30,0.0,0.5,0.25\n',
     ]
