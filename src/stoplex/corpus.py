@@ -60,9 +60,6 @@ _CANONICAL_UTF8 = CANONICAL_APOSTROPHE.encode()
 # tokenize at once. Blocks of 4 to 64 KiB held about the same peak; smaller
 # ones cost more calls.
 _BLOCK_CHARS = 16_384
-# load_corpus stores profile ids in 2 bytes (array "H") when its fold made at
-# most this many pair tuples, a bound on the profile count, else in 4 ("I").
-_SHORT_ID_LIMIT = 65_536
 
 
 def tokenize(text: str | bytes) -> list[str] | list[bytes]:
@@ -149,7 +146,7 @@ class Corpus(NamedTuple):
     """
 
     surfaces: tuple[bytes, ...]
-    profile_ids: array  # array("H") or array("I"): one profile id per word
+    profile_ids: array  # array("I"): one profile id per word
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
     doc_count: int
@@ -173,7 +170,7 @@ class WordEntry(NamedTuple):
 
 class _LexiconFields(NamedTuple):
     surfaces: tuple[bytes, ...]  # each word's UTF-8 bytes
-    profile_ids: array  # array("H") or array("I"): one profile id per word
+    profile_ids: array  # array("I"): one profile id per word
     doc_frequency: tuple[int, ...]
     total_count: tuple[int, ...]
     doc_count: int  # documents in the corpus the words were counted in
@@ -267,14 +264,12 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
 
     After the last document the distinct pairs are numbered in order of
     their first word, and the dict becomes the Corpus columns: the surfaces,
-    one profile id per word and one row per pair. The dict is dropped before
-    load_corpus returns. Profile ids take 2 bytes each when the lookups made
-    at most _SHORT_ID_LIMIT pair tuples in all; every final pair is one of
-    them, so the ids fit. Bytes are read as UTF-8; a bad source raises
-    DecodeError naming it. Zero sources raise EmptyCorpus.
+    one profile id per word in an array("I") and one row per pair. The dict
+    is dropped before load_corpus returns. Bytes are read as UTF-8; a bad
+    source raises DecodeError naming it. Zero sources raise EmptyCorpus.
     """
     counts_of: dict[bytes, tuple[int, int]] = {}
-    doc_count = token_total = pair_tuples = 0
+    doc_count = token_total = 0
     for name, text in sources:
         if isinstance(text, bytes) and not text.isascii():
             text = _decode(name, text)
@@ -287,12 +282,11 @@ def load_corpus(sources: Iterable[tuple[str, str | bytes]]) -> Corpus:
             counts_of[token] = shared.setdefault(pair, pair)
         doc_count += 1
         token_total += counts.total()
-        pair_tuples += len(shared)
         del counts, shared  # the loop would hold them while the next source is read
     if not doc_count:
         raise EmptyCorpus("a corpus needs at least one document")
     ids: defaultdict[tuple[int, int], int] = defaultdict(itertools.count().__next__)
-    profile_ids = array("H" if pair_tuples <= _SHORT_ID_LIMIT else "I", map(ids.__getitem__, counts_of.values()))
+    profile_ids = array("I", map(ids.__getitem__, counts_of.values()))
     surfaces = tuple(counts_of)
     del counts_of
     return Corpus(
@@ -322,24 +316,26 @@ def _count_tokens(text: str | bytes) -> Counter[bytes]:
 
 
 def _blocks(text: str | bytes) -> Iterator[str | bytes]:
-    r"""``text`` in order, as blocks cut before whitespace whose tokens are those of ``text``.
+    r"""``text`` in order, as blocks cut before separators whose tokens are those of ``text``.
 
     Each block takes _BLOCK_CHARS characters, or the rest of the text, and
-    runs on to the next str.isspace character, the set at which str.split
-    and the pattern's non-space run both stop, so a caller holds one block's
-    tokens at once. ASCII bytes are cut at the same characters: their class
-    [\t-\r\x1c- ] is str.isspace on ASCII, where a bytes pattern's \s
-    would leave out U+001C to U+001F and let a block run on past them.
+    runs on to the next cut character, so a caller holds one block's tokens
+    at once whatever separates the words: whitespace (str.isspace, which is
+    \s on str) or an ASCII character but a letter, ' and `. ASCII bytes take
+    the same pattern encoded, so they are cut where their text is.
 
-    The cut changes no token. Each str.isspace character is a starter that
-    no canonical composition or reordering crosses, and NFC keeps it
-    whitespace (U+2000 and U+2001 become U+2002 and U+2003). None is a
-    letter or an apostrophe, an apostrophe rule looks at most one character
-    across it, and the ASCII and non-ASCII paths that each block picks for
+    The cut changes no token. Each cut character is a starter that no
+    canonical composition has as its second element, so NFC neither
+    composes nor reorders across a cut (U+2000 and U+2001 become U+2002 and
+    U+2003, still whitespace). =, < and > compose with a U+0338 after them
+    (into ≠, ≮, ≯), which stays in their block. None is a letter, ' and `
+    are never cut, and an apostrophe rule sees across a cut only a
+    non-letter, as at a block's end. Non-ASCII separators such as ، or 、
+    are not cut. The ASCII and non-ASCII paths that each block picks for
     itself give the same tokens.
     """
-    pattern = rb".{1,%d}[^\t-\r\x1c- ]*" if isinstance(text, bytes) else r".{1,%d}\S*"
-    for block in re.finditer(pattern % _BLOCK_CHARS, text, re.DOTALL):
+    pattern = r".{1,%d}[^\s\x00-\x26\x28-\x40\x5b-\x5f\x7b-\x7f]*" % _BLOCK_CHARS
+    for block in re.finditer(pattern.encode() if isinstance(text, bytes) else pattern, text, re.DOTALL):
         yield block[0]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -14,13 +15,11 @@ from stoplex import (
     DomainError,
     EmptyCorpus,
     Lexicon,
-    RunConfig,
     WordEntry,
     build_lexicon,
     collect_input_files,
     load_corpus,
     load_corpus_from_paths,
-    run_pipeline,
     tokenize,
 )
 
@@ -67,14 +66,16 @@ def test_bytes_sources_decode():
     assert (corpus.doc_count, corpus.token_total) == (2, 4)
 
 
-# the tokenizer's chunk pieces plus the characters a cut before whitespace
-# could separate from their neighbours: whitespace of each kind (ASCII
-# controls, U+0085, U+2000, which NFC turns into U+2002, and the separators),
-# a combining mark, U+1FEF (NFC turns it into `) and İ (it lowercases to two
-# code points)
+# the tokenizer's chunk pieces plus the characters a cut could separate from
+# their neighbours: whitespace of each kind (ASCII controls, U+0085, U+2000,
+# which NFC turns into U+2002, and the separators), the ASCII cut characters
+# , ; and a digit, = and < with a U+0338 (NFC composes each pair into one
+# symbol, ≠ and ≮), a combining mark, U+1FEF (NFC turns it into `) and İ (it
+# lowercases to two code points)
 BLOCK_SPACES = [" ", "\xa0", "\u3000", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2000", "\u2028"]
+BLOCK_CUTS = [",", ";", "7", "=\u0338", "<\u0338"]
 block_texts = st.lists(
-    st.sampled_from(CHUNK_PIECES + BLOCK_SPACES + ["\u0301", "\u1fef", "İ"]), max_size=30
+    st.sampled_from(CHUNK_PIECES + BLOCK_SPACES + BLOCK_CUTS + ["\u0301", "\u1fef", "İ"]), max_size=30
 ).map("".join)
 
 
@@ -90,6 +91,8 @@ block_texts = st.lists(
 @example("a\nʻb", 1)  # an apostrophe after a cut at a newline
 @example("aʻ\x85b", 1)  # and before a cut at U+0085
 @example("e\u2000\u0301b", 1)  # a combining mark after U+2000, which NFC makes U+2002
+@example("oʻ,ʻb;é7ʻc", 1)  # apostrophes next to cuts at , ; and a digit
+@example("ab=\u0338c<\u0338", 2)  # a cut before = and <, which keep their U+0338
 def test_block_counts_match_counting_the_whole_text(text, block_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
@@ -99,10 +102,11 @@ def test_block_counts_match_counting_the_whole_text(text, block_chars):
     assert counts.total() == whole.total()
 
 
-# ASCII bytes are cut at the ASCII str.isspace set, which U+001C to U+001F
-# belong to and a bytes pattern's \s leaves out
+# ASCII bytes are cut where their text is: at the ASCII str.isspace set, which
+# U+001C to U+001F belong to and a bytes pattern's \s leaves out, and at every
+# other character but a letter, ' and `
 ASCII_BLOCK_PIECES = [
-    "a", "Bc", "'", "`", "''", "it's", "7", ",",
+    "a", "Bc", "'", "`", "''", "it's", "7", ",", ";", "=", "<",
     " ", "\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
 ]
 ascii_block_texts = st.lists(st.sampled_from(ASCII_BLOCK_PIECES), max_size=30).map("".join)
@@ -112,6 +116,8 @@ ascii_block_texts = st.lists(st.sampled_from(ASCII_BLOCK_PIECES), max_size=30).m
 @given(ascii_block_texts, st.integers(1, 8))
 @example("a\x1fb\x0bc", 1)  # words separated only by U+001F and \x0b
 @example("ab'\x1c'cd", 2)  # apostrophes on both sides of a cut
+@example("it's,'a;b'7c", 1)  # apostrophes next to cuts at , ; and a digit
+@example("ab=c<d", 2)  # cuts at = and <
 def test_ascii_bytes_block_counts_match_counting_the_whole_text(text, block_chars):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
@@ -120,6 +126,40 @@ def test_ascii_bytes_block_counts_match_counting_the_whole_text(text, block_char
         counts = stoplex.corpus._count_tokens(text.encode())
     whole = Counter(token.encode() for token in tokenize(text))
     assert list(counts.items()) == list(whole.items())
+
+
+def _cut(ch: str) -> bool:
+    """Whether _blocks cuts before ``ch``: whitespace, or an ASCII character but a letter, ' and `."""
+    return ch.isspace() or (ch.isascii() and not ch.isalpha() and ch not in "'`")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(block_texts, ascii_block_texts.map(str.encode)), st.integers(1, 8))
+@example("olma,nok;uzum7anor", 1)  # words joined without whitespace
+@example(b"olma,nok;uzum7anor", 1)
+def test_blocks_end_before_a_cut_and_run_past_their_length_by_one_uncut_run(text, block_chars):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.corpus, "_BLOCK_CHARS", block_chars)
+        blocks = list(stoplex.corpus._blocks(text))
+    if isinstance(text, bytes):
+        text, blocks = text.decode(), [block.decode() for block in blocks]
+    assert "".join(blocks) == text
+    assert all(_cut(block[0]) for block in blocks[1:])
+    longest_uncut = max((len(list(run)) for cut, run in itertools.groupby(text, _cut) if not cut), default=0)
+    assert all(len(block) <= block_chars + longest_uncut for block in blocks)
+
+
+def test_blocks_cut_before_exactly_whitespace_and_ascii_characters_but_letters_and_apostrophes(monkeypatch):
+    # with blocks of one character, each character after the leading "a"
+    # starts a block exactly when _blocks cuts before it
+    monkeypatch.setattr(stoplex.corpus, "_BLOCK_CHARS", 1)
+    text = "a" + "".join(map(chr, range(sys.maxunicode + 1)))
+    blocks = list(stoplex.corpus._blocks(text))
+    assert "".join(blocks) == text
+    assert {block[0] for block in blocks[1:]} == set(filter(_cut, text[1:]))
+    assert len(blocks) == 1 + 93  # the 29 str.isspace characters and 74 ASCII ones, 10 in both
+    ascii_blocks = list(stoplex.corpus._blocks(text[:129].encode()))
+    assert [block.decode() for block in ascii_blocks] == list(stoplex.corpus._blocks(text[:129]))
 
 
 def test_ascii_bytes_documents_are_never_decoded(monkeypatch):
@@ -207,7 +247,7 @@ def test_corpus_retains_its_surfaces_and_one_profile_id_per_word():
     headers = sum(map(sys.getsizeof, (corpus, (), array(ids.typecode), corpus.doc_frequency, corpus.total_count)))
     floor = sum(map(sys.getsizeof, corpus.surfaces)) + (8 + ids.itemsize) * n_words + headers
     assert retained <= floor + ids.itemsize * n_words // 16
-    assert (ids.typecode, corpus.doc_count, len(corpus.surfaces), len(corpus.total_count)) == ("H", 4, n_words, 6)
+    assert (ids.typecode, corpus.doc_count, len(corpus.surfaces), len(corpus.total_count)) == ("I", 4, n_words, 6)
 
 
 def test_build_lexicon_does_not_raise_the_peak_of_load_corpus():
@@ -239,8 +279,8 @@ def test_load_corpus_peak_per_word_on_a_wide_corpus():
     # documents hold those and are decoded, the other 30 are ASCII. Each
     # word is kept as its UTF-8 bytes, whose header is 33 bytes, and the
     # end of load_corpus also holds its dict entry, a tuple slot and a
-    # profile id: measured 75.9 bytes per word beyond the words' UTF-8 bytes
-    # on Python 3.10 to 3.12. str keys took 83.5 (3.12) to 102.3 (3.10)
+    # 4-byte profile id: measured 77.9 bytes per word beyond the words' UTF-8
+    # bytes on Python 3.11. str keys took 83.5 (3.12) to 102.3 (3.10)
     n_words, n_docs = 40_000, 40
     rng = random.Random(29)
     words = [letter_code(j) + ("oʻzbekistonlik" if j % 4 == 0 else "lari") for j in range(n_words)]
@@ -258,25 +298,6 @@ def test_load_corpus_peak_per_word_on_a_wide_corpus():
     assert sum(text.isascii() for _, text in texts) == 30
     assert corpus.surfaces == tuple(word.encode() for d in range(n_docs) for word in words[d::n_docs])
     assert peak <= sum(len(word.encode()) for word in words) + 80 * n_words
-
-
-@pytest.mark.parametrize("texts", [TOY_SOURCES, six_profile_documents(300)], ids=["toy", "six-profiles"])
-def test_four_byte_profile_ids_give_the_same_lexicon_and_outputs(monkeypatch, tmp_path, texts):
-    for name, text in texts:
-        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
-    inputs = sorted(map(str, tmp_path.glob("*.txt")))
-    short = load_corpus(texts)
-    run_pipeline(RunConfig(inputs, fraction="0.4", output_dir=tmp_path / "short", plots=True))
-    monkeypatch.setattr(stoplex.corpus, "_SHORT_ID_LIMIT", 0)  # no pair tuple fits: 4-byte ids
-    wide = load_corpus(texts)
-    run_pipeline(RunConfig(inputs, fraction="0.4", output_dir=tmp_path / "wide", plots=True))
-    assert (short.profile_ids.typecode, wide.profile_ids.typecode) == ("H", "I")
-    assert build_lexicon(wide) == build_lexicon(short)
-    assert wide.counts_of == short.counts_of
-    outputs = sorted(path.name for path in (tmp_path / "short").iterdir())
-    assert len(outputs) == 5
-    for name in outputs:
-        assert (tmp_path / "wide" / name).read_bytes() == (tmp_path / "short" / name).read_bytes()
 
 
 def test_toy_lexicon_entries(toy_lexicon):

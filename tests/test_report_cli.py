@@ -190,17 +190,19 @@ def test_pipeline_peak_memory_does_not_grow_with_the_largest_documents_tokens(tm
     # the same stream cut into 2 documents of 100 000 tokens (about 409 000
     # characters each): a document is counted block by block, so its bytes and
     # text are held at the peak, but never all of its tokens at once; the
-    # blocks are cut at any whitespace, so one word per line counts the same
+    # blocks are cut at any whitespace and at ASCII punctuation and digits, so
+    # one word per line, or words joined by commas or digits, count the same
     stream = _token_stream()
-    for name, sep in (("spaces", " "), ("lines", "\n")):
+    for name, sep in (("spaces", " "), ("lines", "\n"), ("commas", ","), ("digits", "7")):
         _write_documents(tmp_path / name, stream, 2, sep)
         chars = max(len(path.read_text(encoding="utf-8")) for path in (tmp_path / name).iterdir())
         report, peak = _traced_pipeline(tmp_path / name, tmp_path / f"out-{name}")
         assert (report.token_total, report.unique_words) == (len(stream), len(set(stream)))
-        # measured on Python 3.11: 3.98 MB with either separator against a bound
-        # of 5.2 MB; holding a document's whole token list, as the corpus once
-        # did, peaked at 13.25 MB, and cutting blocks only at U+0020 at 8.9 MB
-        # on the one-word-per-line documents
+        # measured on Python 3.11: 3.41 MB with each separator against a bound
+        # of 5.23 MB; holding a document's whole token list, as the corpus once
+        # did, peaked at 13.25 MB, cutting blocks only at U+0020 at 8.9 MB on
+        # the one-word-per-line documents, and cutting only at whitespace at
+        # 7.01 MB on the comma- and digit-joined ones
         assert peak <= 200 * report.unique_words + 3 * chars, name
 
 
