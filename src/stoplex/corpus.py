@@ -4,12 +4,12 @@ A token is a maximal run of Unicode letters. A single apostrophe is kept
 when it sits between two letters (the Uzbek oʻ/gʻ digraphs). The variants
 found in real texts (U+0027, U+2019, U+02BC, U+0060) are rewritten to
 U+02BB first, so they collapse to one code point and do not create
-spurious unique words. Text is NFC-normalized before splitting and tokens
+spurious unique words. Text is NFC-normalized chunk by chunk and tokens
 are lowercased afterwards. Digits, punctuation and symbols are
 separators, never tokens; so are numerics that are not letters, such as
-½, Ⅻ and ². Non-ASCII text is cut into whitespace chunks once every
-apostrophe that cannot attach and every , and . are blanked; a chunk of
-letters alone is one word, and the other chunks are split into their
+½, Ⅻ and ². Non-ASCII text is cut into whitespace chunks once , and .
+and each doubled apostrophe are blanked; a chunk of letters alone, less
+its end apostrophes, is one word, and the other chunks are split into their
 letter runs. An ASCII text (Uzbek Latin is often typed so, with ' or `
 for oʻ/gʻ) takes a shorter path, on its UTF-8 bytes, that gives the same
 tokens with no pattern scan: one bytes.translate lowercases its letters
@@ -42,15 +42,9 @@ CANONICAL_APOSTROPHE = "ʻ"
 ORDER_MODES = ("list", "lexicographic")
 
 # The apostrophe variants tokenize rewrites to the canonical one, once per
-# text, so the later steps only have to know U+02BB.
-_VARIANT_APOSTROPHES = "'’ʼ`"
-# A U+02BB that cannot attach: one not followed by, or not preceded by, a
-# character of [^\W\d_ʻ]. [^\W\d_] is every letter plus the numerics that
-# are not decimal digits (categories No and Nl, such as ½); U+02BB is a
-# letter (Lm) and is left out, so a doubled apostrophe never survives. An
-# apostrophe next to ½ may survive here; tokenize's letter split strips it.
-_LOOSE_APOSTROPHE = re.compile(r"ʻ(?:(?![^\W\d_ʻ])|(?<![^\W\d_ʻ]ʻ))")
-# On ASCII text [^\W\d_ʻ] is exactly [A-Za-z]: the table lowercases those,
+# text, so the later steps only have to know U+02BB; NFC makes ` of U+1FEF.
+_VARIANT_APOSTROPHES = "'’ʼ`\u1fef"
+# On ASCII text the letters are exactly [A-Za-z]: the table lowercases those,
 # writes both ASCII apostrophes as ' and every other byte as a space.
 _ASCII_LOWER = b"abcdefghijklmnopqrstuvwxyz"
 _ASCII_KEPT = dict(zip(_ASCII_LOWER + _ASCII_LOWER.upper() + b"'`", _ASCII_LOWER * 2 + b"''"))
@@ -81,16 +75,16 @@ def tokenize(text: str | bytes) -> list[str] | list[bytes]:
     ASCII document without decoding it. Bytes that are not ASCII raise
     DomainError.
 
-    Non-ASCII text is NFC-normalized and its apostrophe variants rewritten,
-    then _LOOSE_APOSTROPHE blanks each U+02BB that is not between two
-    characters of [^\W\d_ʻ], str.replace blanks , and . (the separators
-    most often glued to words) and str.split cuts the chunks. A chunk for
-    which str.isalpha holds is one word: each U+02BB in it sits between two
-    letters. Any other chunk is split at its non-letters into its maximal
-    letter runs. A U+02BB that ends a run stood next to a numeric such as ½,
-    which the class holds but is no letter, so strip drops it; one inside a
-    run sits between two letters. Each token is still lowercased on its
-    own, so final sigma and İ come out as before.
+    Non-ASCII text has its apostrophe variants rewritten, str.replace blanks
+    , and . (the separators most often glued to words) and each doubled
+    U+02BB, and str.split cuts the chunks. Each chunk is NFC-normalized on
+    its own, as in the whole text's NFC: each character cut at or blanked
+    is a starter no canonical composition uses, and only U+1FEF (a variant
+    here), U+2000 and U+2001 decompose to one. strip drops the U+02BB at a
+    chunk's ends; a chunk for which str.isalpha then holds is one word, and
+    any other is split into its letter runs, each stripped so. A U+02BB
+    left sits between two letters. Each token is lowercased on its own, so
+    final sigma and İ come out as before.
 
     An ASCII text takes _fold_ascii on its bytes instead, which gives the
     same tokens: it is already NFC, its only apostrophe variants are ' and
@@ -107,12 +101,12 @@ def tokenize(text: str | bytes) -> list[str] | list[bytes]:
         return _fold_ascii(text).split()
     if text.isascii():
         return _fold_ascii(text.encode()).decode().split()
-    text = unicodedata.normalize("NFC", text)
     for apostrophe in _VARIANT_APOSTROPHES:
         text = text.replace(apostrophe, CANONICAL_APOSTROPHE)
-    text = _LOOSE_APOSTROPHE.sub(" ", text).replace(",", " ").replace(".", " ")
+    text = text.replace(",", " ").replace(".", " ").replace(CANONICAL_APOSTROPHE * 2, "  ")
     tokens: list[str] = []
     for chunk in text.split():
+        chunk = unicodedata.normalize("NFC", chunk).strip(CANONICAL_APOSTROPHE)
         if chunk.isalpha():
             tokens.append(unicodedata.normalize("NFC", chunk.lower()))
             continue
@@ -304,14 +298,13 @@ def _count_tokens(text: str | bytes) -> Counter[bytes]:
 
     ``text`` is a str or ASCII bytes, cut by _blocks. tokenize gives an
     ASCII bytes block's tokens as bytes; a str block's tokens are encoded
-    with one join, encode and split, as no token holds a newline.
+    one by one through map(str.encode), which Counter.update counts as it
+    goes, with no list of the encoded tokens.
     """
     counts: Counter[bytes] = Counter()
     for block in _blocks(text):
         tokens = tokenize(block)
-        if tokens and isinstance(block, str):
-            tokens = "\n".join(tokens).encode().split(b"\n")
-        counts.update(tokens)
+        counts.update(map(str.encode, tokens) if isinstance(block, str) else tokens)
     return counts
 
 
@@ -324,15 +317,15 @@ def _blocks(text: str | bytes) -> Iterator[str | bytes]:
     \s on str) or an ASCII character but a letter, ' and `. ASCII bytes take
     the same pattern encoded, so they are cut where their text is.
 
-    The cut changes no token. Each cut character is a starter that no
-    canonical composition has as its second element, so NFC neither
-    composes nor reorders across a cut (U+2000 and U+2001 become U+2002 and
-    U+2003, still whitespace). =, < and > compose with a U+0338 after them
-    (into ≠, ≮, ≯), which stays in their block. None is a letter, ' and `
-    are never cut, and an apostrophe rule sees across a cut only a
-    non-letter, as at a block's end. Non-ASCII separators such as ، or 、
-    are not cut. The ASCII and non-ASCII paths that each block picks for
-    itself give the same tokens.
+    The cut changes no token. tokenize applies NFC to each whitespace
+    chunk, and a chunk cut in two keeps its NFC: each cut character is a
+    starter that no canonical composition has as its second element, so
+    NFC neither composes nor reorders across a cut. =, < and > compose
+    with a U+0338 after them (into ≠, ≮, ≯), which stays in their block.
+    None is a letter, ' and ` are never cut, and an apostrophe rule sees
+    across a cut only a non-letter, as at a block's end. Non-ASCII
+    separators such as ، or 、 are not cut. The ASCII and non-ASCII paths
+    that each block picks for itself give the same tokens.
     """
     pattern = r".{1,%d}[^\s\x00-\x26\x28-\x40\x5b-\x5f\x7b-\x7f]*" % _BLOCK_CHARS
     for block in re.finditer(pattern.encode() if isinstance(text, bytes) else pattern, text, re.DOTALL):

@@ -103,23 +103,30 @@ def density(lexicon: Lexicon, probability: Sequence[float]) -> IndexDistribution
     return IndexDistribution(lexicon, probability)
 
 
-# indices per step of _power_sums: it holds two lists of Python ints (about
-# 40 bytes per index) for one step, where a whole profile's, such as the 71 504
-# words of one profile of the benchmark's uz-wide, would raise a run's peak memory
+# indices per step of _power_sums: it holds two lists of Python ints (about 40
+# bytes per index) for one step, as a whole profile's would raise a run's peak memory
 _POWER_SUM_STEP = 4096
 
 
 def _power_sums(scaled: Sequence[int], members: Sequence[array]) -> tuple[int, int, int, int]:
-    """X_k for k = 0..3: the sum over profiles p of scaled[p] times the exact sum of i**k over p's indices."""
-    x0 = x1 = x2 = x3 = 0
+    """X_k for k = 0..3: the sum over profiles p of scaled[p] times the exact sum of i**k over p's indices.
+
+    The members partition 1..N, so X_k is scaled[L] times the closed-form sum over 1..N, L the largest
+    profile, plus (scaled[p] - scaled[L]) times p's sum for every other p; L's indices are not walked.
+    """
+    n = sum(map(len, members))
+    base = max(zip(map(len, members), scaled), default=(0, 0))[1]
+    t1 = n * (n + 1) // 2
+    x0, x1, x2, x3 = base * n, base * t1, base * (t1 * (2 * n + 1) // 3), base * t1 * t1
     for m, indices in zip(scaled, members):
-        x0 += m * len(indices)
-        for start in range(0, len(indices), _POWER_SUM_STEP):
-            i = indices[start:start + _POWER_SUM_STEP].tolist()
-            squares = list(map(mul, i, i))
-            x1 += m * sum(i)
-            x2 += m * sum(squares)
-            x3 += m * sum(map(mul, squares, i))
+        if m := m - base:
+            x0 += m * len(indices)
+            for start in range(0, len(indices), _POWER_SUM_STEP):
+                i = indices[start:start + _POWER_SUM_STEP].tolist()
+                squares = list(map(mul, i, i))
+                x1 += m * sum(i)
+                x2 += m * sum(squares)
+                x3 += m * sum(map(mul, squares, i))
     return x0, x1, x2, x3
 
 

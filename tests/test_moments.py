@@ -284,6 +284,22 @@ def test_density_moments_are_the_exact_sums_rounded_once(case):
         assert computed_moments(dist) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(grouped_weights(), st.lists(st.integers(0, 2**80), min_size=6, max_size=6))
+@example(([1.0, 2.0], [0, 0, 1, 1]), [5, 5, 0, 0, 0, 0])  # two profiles of one size and value
+@example(([1.0, 2.0, 3.0], [2, 1, 0, 1, 2, 2]), [0, 7, 3, 0, 0, 0])  # the largest profile's value is 3
+def test_power_sums_equal_the_per_member_sums(case, ints):
+    # the largest profile's sums come in closed form, the others' by walking them
+    weights, profile_ids = case
+    members = grouped_lexicon(len(weights), profile_ids).members
+    scaled = ints[:len(weights)]
+    expected = tuple(sum(m * sum(i**k for i in indices) for m, indices in zip(scaled, members)) for k in range(4))
+    assert stoplex.moments._power_sums(scaled, members) == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stoplex.moments, "_POWER_SUM_STEP", 3)
+        assert stoplex.moments._power_sums(scaled, members) == expected
+
+
 def test_density_retains_under_one_byte_per_word():
     n_words = 100_000
     lexicon = build_lexicon(six_profile_corpus(n_words))

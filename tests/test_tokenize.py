@@ -162,9 +162,9 @@ def test_tokenize_takes_only_ascii_bytes():
 # numerics, separators are glued to words, and one non-ASCII letter makes
 # sure the branch runs.
 CHUNK_PIECES = (
-    ["ʻ", "'", "’", "ʼ", "`", "ʻʻ", "'’", "ʻa", "aʻ", "oʻg", "Gʻ"]  # apostrophes at edges, doubled, inside
+    ["ʻ", "'", "’", "ʼ", "`", "\u1fef", "ʻʻ", "'’", "ʻa", "aʻ", "oʻg", "Gʻ"]  # apostrophes at edges, doubled, inside
     + [",", ".", "a,", ".b", "Σ.", ",ʻ", "ʻ."]  # the separators blanked before the cut
-    + [" ", "\n", "\xa0", "\u3000", "\x1c", "\u2028"]  # whitespace that str.split cuts at
+    + [" ", "\n", "\xa0", "\u2000", "\u3000", "\x1c", "\u2028"]  # whitespace that str.split cuts at
     + ["a", "bo", "ΑΣ", "ς", "İ", "é", "e\u0301", "½", "Ⅻ", "1", "١", "_", "-"]
     + ["ʻ½", "½ʻ", "²"]  # numerics an apostrophe survives next to until the letter split
 )
@@ -184,6 +184,7 @@ chunk_texts = st.tuples(chunk_pieces, st.sampled_from(["é", "ʻ", "Σ", "İ", "
 @example("aʻ½ʻb é")
 @example("½ʻ½ é")
 @example("Ⅻʻaʻ² a²ʻʻb é")
+@example("e\u0301ʻb x\u1fefy a\u2000ʻb u\u0308'z")  # decomposed letters, U+1FEF, U+2000
 def test_chunk_tokenize_matches_reference_scanner(text):
     assert not text.isascii()
     assert tokenize(text) == scanner_oracle.tokenize(text)
@@ -204,9 +205,9 @@ def test_non_ascii_tokenize_peak_memory_is_bounded_per_character():
     finally:
         tracemalloc.stop()
     assert len(tokens) > 60_000
-    # measured: about 20 bytes per character on Python 3.11, mostly one str
-    # per chunk and per token; a list with one entry per character of the
-    # text would add 8 more
+    # measured: 20.0 bytes per character on Python 3.11 with NFC per chunk
+    # (19.6 with NFC of the whole text), mostly one str per chunk and per
+    # token; a list with one entry per character of the text would add 8 more
     assert peak / len(text) < 24
 
 
@@ -226,15 +227,57 @@ def test_ascii_text_skips_normalization(monkeypatch):
 
 
 def test_nfc_can_make_an_apostrophe_out_of_non_ascii_text():
-    # U+1FEF (GREEK VARIA) is not ASCII, but NFC turns it into U+0060
+    # U+1FEF (GREEK VARIA) is not ASCII, but NFC turns it into U+0060;
+    # tokenize rewrites it to U+02BB with the other variants, before NFC
     assert unicodedata.normalize("NFC", "\u1fef") == "`"
+    assert "\u1fef" in stoplex.corpus._VARIANT_APOSTROPHES
     assert tokenize("a\u1fefb") == scanner_oracle.tokenize("a\u1fefb") == ["aʻb"]
+    # and it is the only code point but the variants that NFC makes an apostrophe of
+    apostrophes = set(APOSTROPHE_VARIANTS + [CANONICAL_APOSTROPHE])
+    made = {chr(cp) for cp in range(sys.maxunicode + 1) if unicodedata.normalize("NFC", chr(cp)) in apostrophes}
+    assert made - {CANONICAL_APOSTROPHE} == set(stoplex.corpus._VARIANT_APOSTROPHES)
+
+
+def test_only_three_canonical_decompositions_hold_a_cut_or_an_apostrophe():
+    # tokenize rewrites the apostrophe variants, blanks , . and doubled
+    # U+02BB, and cuts at whitespace on the raw text, then applies NFC to
+    # each chunk. That equals NFC of the whole text, cut as before, because
+    # each of those characters is a starter that no canonical decomposition
+    # holds, but for U+1FEF (into `, which tokenize rewrites too) and U+2000
+    # and U+2001 (into U+2002 and U+2003, whitespace as they are)
+    special = set(",." + "".join(APOSTROPHE_VARIANTS) + CANONICAL_APOSTROPHE)
+    every_char = list(map(chr, range(sys.maxunicode + 1)))
+    cuts = [ch for ch in every_char if ch.isspace() or ch in special]
+    assert [ch for ch in cuts if unicodedata.combining(ch)] == []
+    holding = [
+        hex(ord(ch))
+        for ch in every_char
+        if unicodedata.decomposition(ch)[:1] not in ("", "<")
+        and any(part.isspace() or part in special for part in unicodedata.normalize("NFD", ch))
+    ]
+    assert holding == ["0x1fef", "0x2000", "0x2001"]
+    assert "\u2000".isspace() and "\u2001".isspace()
+
+
+def test_non_ascii_text_is_normalized_chunk_by_chunk(monkeypatch):
+    calls = []
+
+    def record(form, text):
+        calls.append(text)
+        return unicodedata.normalize(form, text)
+
+    # only the tokenizer's view of the module, as in test_ascii_text_skips_normalization
+    monkeypatch.setattr(stoplex.corpus, "unicodedata", SimpleNamespace(normalize=record))
+    text = "Oʻzbek tili, e\u0301lon.\tga\u0308p\u2000soʻz x\u1fefy\n" * 40
+    assert tokenize(text) == scanner_oracle.tokenize(text)
+    assert calls
+    assert [chunk for chunk in calls if len(chunk) > 8 or any(ch.isspace() for ch in chunk)] == []
 
 
 def test_tokenize_matches_reference_scanner_around_every_non_letter_numeric():
     # the numerics [^\W\d_] holds although they are not letters (No, Nl):
-    # an apostrophe next to one survives _LOOSE_APOSTROPHE, and the letter
-    # split must still drop it
+    # a chunk with an apostrophe next to one is no letter-only chunk, so
+    # tokenize splits it into its letter runs and must drop the apostrophe
     every_char = "".join(map(chr, range(sys.maxunicode + 1)))
     numerics = [ch for ch in re.findall(r"[^\W\d_]", every_char) if not ch.isalpha()]
     assert len(numerics) > 1000
